@@ -23,6 +23,9 @@ Schema (all unknown keys rejected)::
 
 Generator params: n, m, min_gap, alpha_reducible (bool), reward_kind, sigma,
 market_seed (defaults to base_seed).
+
+Integer fields take JSON numbers without a fractional part and boolean
+fields only JSON booleans; anything else is a ``ConfigError`` naming the field.
 """
 
 from __future__ import annotations
@@ -146,6 +149,23 @@ def _fail(fieldname: str, message: str):
     raise ConfigError(f"config field {fieldname!r}: {message}")
 
 
+def _int(fieldname: str, value) -> int:
+    """A JSON number with no fractional part; booleans are not integers."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (isinstance(value, float) and not value.is_integer())
+    ):
+        _fail(fieldname, f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _bool(fieldname: str, value) -> bool:
+    if not isinstance(value, bool):
+        _fail(fieldname, f"must be true or false, got {value!r}")
+    return value
+
+
 def config_from_dict(raw: dict, base_dir: Optional[Path] = None) -> ExperimentConfig:
     unknown = set(raw) - _TOP_KEYS
     if unknown:
@@ -185,14 +205,17 @@ def config_from_dict(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCo
             _fail(f"market.generator.{sorted(bad)[0]}", "unknown field")
         try:
             market_generator = GeneratorParams(
-                n=int(source_value["n"]),
-                m=int(source_value["m"]),
+                n=_int("market.generator.n", source_value["n"]),
+                m=_int("market.generator.m", source_value["m"]),
                 min_gap=float(source_value["min_gap"]),
-                alpha_reducible=bool(source_value.get("alpha_reducible", True)),
+                alpha_reducible=_bool(
+                    "market.generator.alpha_reducible",
+                    source_value.get("alpha_reducible", True),
+                ),
                 reward_kind=source_value.get("reward_kind", "bernoulli"),
                 sigma=float(source_value.get("sigma", 0.1)),
                 market_seed=(
-                    int(source_value["market_seed"])
+                    _int("market.generator.market_seed", source_value["market_seed"])
                     if "market_seed" in source_value
                     else None
                 ),
@@ -211,13 +234,13 @@ def config_from_dict(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCo
     else:
         _fail("market", f"unknown source kind {source_kind!r}")
 
-    horizon = int(raw["horizon"])
+    horizon = _int("horizon", raw["horizon"])
     if horizon < 1:
         _fail("horizon", "must be >= 1")
-    replications = int(raw["replications"])
+    replications = _int("replications", raw["replications"])
     if replications < 1:
         _fail("replications", "must be >= 1")
-    stride = int(raw.get("stride", 100))
+    stride = _int("stride", raw.get("stride", 100))
     if stride < 1:
         _fail("stride", "must be >= 1")
 
@@ -245,7 +268,7 @@ def config_from_dict(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCo
     target_rank = raw.get("target_rank")
     if target_rank is not None and algorithm != "eap":
         _fail("target_rank", f"not applicable to algorithm {algorithm!r}")
-    target_rank = 1 if target_rank is None else int(target_rank)
+    target_rank = 1 if target_rank is None else _int("target_rank", target_rank)
 
     if algorithm in BANDIT_ALGORITHMS:
         if arms is None and market_example is None and market_file is None and market_generator is None:
@@ -262,7 +285,7 @@ def config_from_dict(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCo
         algorithm=algorithm,
         horizon=horizon,
         replications=replications,
-        base_seed=int(raw["base_seed"]),
+        base_seed=_int("base_seed", raw["base_seed"]),
         market_file=market_file,
         market_example=market_example,
         market_generator=market_generator,
@@ -275,7 +298,7 @@ def config_from_dict(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCo
         sigma=float(raw.get("sigma", 0.1)),
         out_dir=raw.get("out_dir"),
         stride=stride,
-        log_rounds=bool(raw.get("log_rounds", False)),
+        log_rounds=_bool("log_rounds", raw.get("log_rounds", False)),
     )
 
 

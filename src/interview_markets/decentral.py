@@ -68,6 +68,15 @@ def ancdrr_candidate_set(state: AgentState) -> tuple[int, ...]:
     )
 
 
+def _best_open_firm(order, state: AgentState) -> Optional[int]:
+    """First firm of ``order`` in ``ancdrr_candidate_set(state)``, or None."""
+    r, reopened = state.r, state.reopened
+    for f in order:
+        if r[f] == 0 or reopened[f]:
+            return f
+    return None
+
+
 class CoordinatedPolicy:
     """Vacancy-feedback learner with synchronized updating/committing phases."""
 
@@ -193,10 +202,8 @@ class CoordinationFreePolicy:
         plans = []
         for i, st in enumerate(self.states):
             rr = round_robin_firm(i, t, self.m)
-            cand = ancdrr_candidate_set(st)
-            if cand:
-                target = self.agent_est.argmax(i, cand)
-            else:
+            target = _best_open_firm(self.agent_est.pref_list(i), st)
+            if target is None:
                 self.empty_candidate_anomalies += 1
                 target = st.prev_apply if st.prev_apply is not None else rr
             st.prev_apply = target
@@ -227,10 +234,8 @@ class ExtendedCoordinationFreePolicy:
         plans = []
         for i, st in enumerate(self.states):
             rr = round_robin_firm(i, t, self.m)
-            cand = ancdrr_candidate_set(st)
-            if cand:
-                target = self.agent_est.argmax(i, cand)
-            else:
+            target = _best_open_firm(self.agent_est.pref_list(i), st)
+            if target is None:
                 self.empty_candidate_anomalies += 1
                 target = st.anchor if st.anchor is not None else rr
             anchor = st.anchor

@@ -1,16 +1,20 @@
 """Empirical-mean estimators, estimated preference lists, validity diagnostics.
 
 Estimated lists order never-observed peers first (optimistic), then by
-decreasing empirical mean, breaking ties by ascending peer index. The same
-key drives argmax selection over candidate sets so a list's head and the
-selection rule never disagree.
+decreasing empirical mean, breaking ties by ascending peer index. Each owner
+keeps its peers' keys in that order as observations arrive: ``record``
+bisects for the old and new slot of the one peer whose mean changed and
+moves only that peer, so the order is maintained on ``record``, never
+re-sorted on read. ``argmax`` over a candidate set is the first candidate in
+that same order, so a list's head and the selection rule never disagree.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import ObservationError
 from .market import PrefList
@@ -35,15 +39,30 @@ class EstimatorState:
         self.cols = cols
         self.sums = [[0.0] * cols for _ in range(rows)]
         self.counts = [[0] * cols for _ in range(rows)]
-        self._versions = [0] * rows
-        self._list_memo: list = [None] * rows  # (version, PrefList)
+        # each owner's current key per peer, and the same keys kept sorted
+        key_of = [[_sort_key(0, 0.0, j) for j in range(cols)] for _ in range(rows)]
+        self._keys = [list(row) for row in key_of]
+        self._rows = list(zip(self.sums, self.counts, self._keys, key_of))
+        self._lists: list = [None] * rows  # PrefList memo, cleared when the order changes
 
     def record(self, owner: int, peer: int, value: float) -> "EstimatorState":
         if not 0.0 <= value <= 1.0:
             raise ObservationError(f"observation {value} outside [0, 1]")
-        self.sums[owner][peer] += value
-        self.counts[owner][peer] += 1
-        self._versions[owner] += 1
+        sums, counts, keys, key_of = self._rows[owner]
+        old = key_of[peer]
+        s = sums[peer] = sums[peer] + value
+        c = counts[peer] = counts[peer] + 1
+        key = key_of[peer] = _sort_key(c, s / c, peer)
+        # only this peer moves: i is its old slot, j its new one counted
+        # while the old key is still in the list
+        i = bisect_left(keys, old)
+        j = bisect_left(keys, key)
+        if j == i or j == i + 1:
+            keys[i] = key  # same rank, so the memoized list stays valid
+        else:
+            del keys[i]
+            keys.insert(j if j < i else j - 1, key)
+            self._lists[owner] = None
         return self
 
     def count(self, owner: int, peer: int) -> int:
@@ -54,29 +73,17 @@ class EstimatorState:
         return self.sums[owner][peer] / c if c else None
 
     def pref_list(self, owner: int) -> PrefList:
-        memo = self._list_memo[owner]
-        version = self._versions[owner]
-        if memo is not None and memo[0] == version:
-            return memo[1]
-        sums = self.sums[owner]
-        counts = self.counts[owner]
-        keyed = [
-            (1, -sums[j] / counts[j], j) if counts[j] else (0, 0.0, j)
-            for j in range(self.cols)
-        ]
-        keyed.sort()
-        result = tuple([k[2] for k in keyed])
-        self._list_memo[owner] = (version, result)
+        result = self._lists[owner]
+        if result is None:
+            result = self._lists[owner] = tuple([k[2] for k in self._keys[owner]])
         return result
 
-    def argmax(self, owner: int, candidates: Iterable[int]) -> int:
+    def argmax(self, owner: int, candidates: Collection[int]) -> int:
         """Best peer among candidates under the estimated order."""
-        sums = self.sums[owner]
-        counts = self.counts[owner]
-        return min(
-            candidates,
-            key=lambda j: _sort_key(counts[j], sums[j] / counts[j] if counts[j] else 0.0, j),
-        )
+        for key in self._keys[owner]:
+            if key[2] in candidates:
+                return key[2]
+        raise ValueError(f"no candidate among {self.cols} peers: {candidates!r}")
 
     def snapshot_row(self, owner: int) -> list[tuple[int, float]]:
         """Frozen (count, mean) pairs for later ranking decisions."""

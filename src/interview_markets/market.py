@@ -416,7 +416,8 @@ def generate_alpha_reducible(
         tuple(tuple(r) for r in firm_rows),
         RewardModel(reward_kind, sigma),
     )
-    assert alpha_reducibility(market) is not None
+    if alpha_reducibility(market) is None:
+        raise MarketError(f"generated {n}x{m} market is not alpha-reducible")
     return market
 
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from interview_markets.decentral import (
     AgentState,
@@ -74,6 +76,46 @@ class TestAncdrrCandidateSet:
 
     def test_round_one_has_all_firms(self):
         assert ancdrr_candidate_set(AgentState(3)) == (0, 1, 2)
+
+
+class TestAncdrrScan:
+    """Both coordination-free policies pick argmax over ancdrr_candidate_set."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(hs.data())
+    def test_scan_equals_argmax_over_candidates(self, data):
+        n = data.draw(hs.integers(1, 3), label="n")
+        m = data.draw(hs.integers(n, 6), label="m")
+        est = EstimatorState(n, m)
+        records = data.draw(
+            hs.lists(
+                hs.tuples(
+                    hs.integers(0, n - 1),
+                    hs.integers(0, m - 1),
+                    hs.sampled_from([0.0, 0.5, 1.0]),
+                ),
+                max_size=30,
+            ),
+            label="records",
+        )
+        for owner, peer, value in records:
+            est.record(owner, peer, value)
+        for policy in (
+            CoordinationFreePolicy(n, m, est),
+            ExtendedCoordinationFreePolicy(n, m, est, 0.5, random.Random(0)),
+        ):
+            for state in policy.states:
+                state.r = data.draw(hs.lists(hs.integers(0, 3), min_size=m, max_size=m))
+                state.reopened = data.draw(hs.lists(hs.booleans(), min_size=m, max_size=m))
+            plans = policy.plan(5)
+            empty = 0
+            for i, (plan, state) in enumerate(zip(plans, policy.states)):
+                cand = ancdrr_candidate_set(state)
+                if cand:
+                    assert plan.interviews[0] == est.argmax(i, cand)
+                else:
+                    empty += 1
+            assert policy.empty_candidate_anomalies == empty
 
 
 class TestCoordinatedPhases:

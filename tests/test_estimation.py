@@ -10,6 +10,7 @@ from interview_markets.errors import ObservationError
 from interview_markets.estimation import (
     EstimatorState,
     OracleEstimator,
+    _sort_key,
     topk_aligned,
     validity,
 )
@@ -80,6 +81,49 @@ class TestEstimatedPrefList:
         for candidates in ([0, 1, 2, 3], [1, 3], [3], [0, 2]):
             head = next(f for f in est.pref_list(0) if f in candidates)
             assert est.argmax(0, candidates) == head
+
+
+def resorted_key(est, owner):
+    """The ranking key of every peer of ``owner``, from the running sums."""
+    sums, counts = est.sums[owner], est.counts[owner]
+    return lambda j: _sort_key(counts[j], sums[j] / counts[j] if counts[j] else 0.0, j)
+
+
+# ties (repeated 0, 1/2, 1) and arbitrary means both occur
+OBSERVATIONS = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1))
+
+
+class TestMaintainedOrder:
+    """The order kept up by ``record`` is the one a full re-sort gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equals_full_resort(self, data):
+        rows = data.draw(st.integers(1, 3), label="rows")
+        cols = data.draw(st.integers(1, 7), label="cols")
+        est = EstimatorState(rows, cols)
+        records = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1), OBSERVATIONS),
+                max_size=60,
+            ),
+            label="records",
+        )
+        for owner, peer, value in records:
+            est.record(owner, peer, value)
+            for o in range(rows):
+                key = resorted_key(est, o)
+                listed = est.pref_list(o)
+                assert listed == tuple(sorted(range(cols), key=key))
+                assert est.pref_list(o) is listed  # memoized until the order moves
+                candidates = data.draw(
+                    st.sets(st.integers(0, cols - 1), min_size=1), label="candidates"
+                )
+                assert est.argmax(o, candidates) == min(candidates, key=key)
+
+    def test_argmax_of_nothing_raises(self):
+        with pytest.raises(ValueError):
+            EstimatorState(1, 3).argmax(0, ())
 
 
 class TestValidity:

@@ -101,11 +101,64 @@ class TestConfigValidation:
         assert (market.n, market.m) == (3, 4)
         assert build_market(config) == market  # deterministic
 
+    def test_integral_float_accepted(self):
+        assert config_from_dict(base_config(horizon=400.0)).horizon == 400
+
+    def test_null_stride_rejected(self):
+        with pytest.raises(ConfigError, match="'stride'"):
+            config_from_dict(base_config(stride=None))
+
     def test_load_config_reports_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="JSON"):
             load_config(path)
+
+
+_GENERATOR = {"n": 3, "m": 3, "min_gap": 0.2, "market_seed": 9}
+INTEGER_FIELDS = (
+    "horizon",
+    "replications",
+    "stride",
+    "base_seed",
+    "target_rank",
+    "market.generator.n",
+    "market.generator.m",
+    "market.generator.market_seed",
+)
+BOOLEAN_FIELDS = ("market.generator.alpha_reducible", "log_rounds")
+
+
+def config_with(fieldname, value):
+    """A valid config with one top-level or generator field replaced."""
+    if fieldname.startswith("market.generator."):
+        key = fieldname.rsplit(".", 1)[1]
+        return base_config(market={"generator": {**_GENERATOR, key: value}})
+    if fieldname == "target_rank":
+        return base_config(algorithm="eap", market={"arms": [0.9, 0.5]}, target_rank=value)
+    return base_config(**{fieldname: value})
+
+
+class TestStrictFieldTypes:
+    @pytest.mark.parametrize("fieldname", INTEGER_FIELDS)
+    def test_valid_values_parse(self, fieldname):
+        config_from_dict(config_with(fieldname, 3))
+
+    @pytest.mark.parametrize("value", ["abc", "3", 1.7, float("inf"), True, [3]])
+    @pytest.mark.parametrize("fieldname", INTEGER_FIELDS)
+    def test_integer_field_rejects(self, fieldname, value):
+        with pytest.raises(ConfigError, match=f"'{fieldname}': must be an integer"):
+            config_from_dict(config_with(fieldname, value))
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    @pytest.mark.parametrize("fieldname", BOOLEAN_FIELDS)
+    def test_boolean_field_rejects(self, fieldname, value):
+        with pytest.raises(ConfigError, match=f"'{fieldname}': must be true or false"):
+            config_from_dict(config_with(fieldname, value))
+
+    @pytest.mark.parametrize("fieldname", BOOLEAN_FIELDS)
+    def test_boolean_field_accepts_false(self, fieldname):
+        config_from_dict(config_with(fieldname, False))
 
 
 class TestNamedExamples:
@@ -222,6 +275,13 @@ class TestCli:
         path = self.write_config(tmp_path, horizon=0)
         assert cli_main(["validate", str(path)]) == 2
         assert "horizon" in capsys.readouterr().err
+
+    def test_validate_rejects_non_integer_in_one_line(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, horizon="abc")
+        assert cli_main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: config field 'horizon'")
 
     def test_stable_prints_set(self, tmp_path, capsys):
         market_path = tmp_path / "market.json"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interview_markets import market as market_module
 from interview_markets.errors import InputError, MarketError, ParameterError, SizeError
 from interview_markets.market import (
     Market,
@@ -222,6 +223,13 @@ class TestGenerators:
         market = generate_alpha_reducible(2, 2, 0.2, random.Random(5))
         seq = alpha_reducibility(market)
         assert seq.pairs == ((0, 0), (1, 1))
+
+
+    def test_alpha_reducible_failure_is_an_error(self, monkeypatch):
+        # an explicit error, not an assert that python -O would strip
+        monkeypatch.setattr(market_module, "alpha_reducibility", lambda market: None)
+        with pytest.raises(MarketError, match="not alpha-reducible"):
+            generate_alpha_reducible(2, 2, 0.2, random.Random(5))
 
 
 class TestSampleReward:
