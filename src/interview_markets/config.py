@@ -24,13 +24,16 @@ Schema (all unknown keys rejected)::
 Generator params: n, m, min_gap, alpha_reducible (bool), reward_kind, sigma,
 market_seed (defaults to base_seed).
 
-Integer fields take JSON numbers without a fractional part and boolean
-fields only JSON booleans; anything else is a ``ConfigError`` naming the field.
+Integer fields take JSON numbers without a fractional part, real fields
+(``min_gap``, ``sigma``, ``lambda``, ``epsilon``, arms) only finite JSON
+numbers, and boolean fields only JSON booleans; anything else is a
+``ConfigError`` naming the field. A market file must exist.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -160,6 +163,17 @@ def _int(fieldname: str, value) -> int:
     return int(value)
 
 
+def _float(fieldname: str, value) -> float:
+    """A finite JSON number; booleans, strings, null, NaN and infinities are not."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        _fail(fieldname, f"must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _bool(fieldname: str, value) -> bool:
     if not isinstance(value, bool):
         _fail(fieldname, f"must be true or false, got {value!r}")
@@ -190,6 +204,8 @@ def config_from_dict(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCo
         market_file = str(source_value)
         if base_dir is not None and not Path(market_file).is_absolute():
             market_file = str(base_dir / market_file)
+        if not Path(market_file).is_file():
+            _fail("market.file", f"no such file: {market_file}")
     elif source_kind == "example":
         if source_value not in EXAMPLE_NAMES:
             _fail(
@@ -207,13 +223,13 @@ def config_from_dict(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCo
             market_generator = GeneratorParams(
                 n=_int("market.generator.n", source_value["n"]),
                 m=_int("market.generator.m", source_value["m"]),
-                min_gap=float(source_value["min_gap"]),
+                min_gap=_float("market.generator.min_gap", source_value["min_gap"]),
                 alpha_reducible=_bool(
                     "market.generator.alpha_reducible",
                     source_value.get("alpha_reducible", True),
                 ),
                 reward_kind=source_value.get("reward_kind", "bernoulli"),
-                sigma=float(source_value.get("sigma", 0.1)),
+                sigma=_float("market.generator.sigma", source_value.get("sigma", 0.1)),
                 market_seed=(
                     _int("market.generator.market_seed", source_value["market_seed"])
                     if "market_seed" in source_value
@@ -227,7 +243,7 @@ def config_from_dict(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCo
     elif source_kind == "arms":
         if not isinstance(source_value, list) or len(source_value) < 2:
             _fail("market.arms", "must be a list of at least two means")
-        arms = tuple(float(x) for x in source_value)
+        arms = tuple(_float("market.arms", x) for x in source_value)
         for x in arms:
             if not 0.0 <= x <= 1.0:
                 _fail("market.arms", f"mean {x} outside [0, 1]")
@@ -248,20 +264,19 @@ def config_from_dict(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCo
     if firm_mode not in ("certain", "uncertain"):
         _fail("firm_mode", "must be 'certain' or 'uncertain'")
 
-    lam = raw.get("lambda")
+    lam = None
     if algorithm == "eancdrr":
-        if lam is None:
+        if "lambda" not in raw:
             _fail("lambda", "required for the eancdrr algorithm")
-        lam = float(lam)
+        lam = _float("lambda", raw["lambda"])
         if not 0.0 < lam < 1.0:
             _fail("lambda", "must lie strictly between 0 and 1")
-    elif lam is not None:
+    elif "lambda" in raw:
         _fail("lambda", f"not applicable to algorithm {algorithm!r}")
 
-    epsilon = raw.get("epsilon")
-    if epsilon is not None and algorithm not in ("allprobe", "eap"):
+    if "epsilon" in raw and algorithm not in ("allprobe", "eap"):
         _fail("epsilon", f"not applicable to algorithm {algorithm!r}")
-    epsilon = 0.1 if epsilon is None else float(epsilon)
+    epsilon = _float("epsilon", raw.get("epsilon", 0.1))
     if epsilon < 0:
         _fail("epsilon", "must be >= 0")
 
@@ -295,7 +310,7 @@ def config_from_dict(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCo
         epsilon=epsilon,
         target_rank=target_rank,
         reward_kind=reward_kind,
-        sigma=float(raw.get("sigma", 0.1)),
+        sigma=_float("sigma", raw.get("sigma", 0.1)),
         out_dir=raw.get("out_dir"),
         stride=stride,
         log_rounds=_bool("log_rounds", raw.get("log_rounds", False)),

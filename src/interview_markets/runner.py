@@ -186,9 +186,23 @@ def run_market_replication(
     return out
 
 
-def _market_worker(args) -> RepOutput:
-    config, market, rep = args
-    return run_market_replication(config, market, rep)
+def _runs_lockstep(config: ExperimentConfig, market: Market) -> bool:
+    """Configs whose replications run as lockstep blocks (``lockstep.py``)."""
+    return (
+        config.algorithm == "cia"
+        and market.reward_model.kind == "bernoulli"
+        and not config.log_rounds
+    )
+
+
+def _market_worker(args) -> list[RepOutput]:
+    """The replications of one job: one scalar run, or a lockstep block."""
+    config, market, reps = args
+    if _runs_lockstep(config, market):
+        from .lockstep import run_cia_block
+
+        return run_cia_block(config, market, reps)
+    return [run_market_replication(config, market, rep) for rep in reps]
 
 
 @dataclass
@@ -310,8 +324,18 @@ def run_experiment(
 
 def _run_market_experiment(config: ExperimentConfig, out: Path, workers: int) -> dict:
     market = build_market(config)
-    jobs = [(config, market, rep) for rep in range(config.replications)]
-    reps = _map_reps(_market_worker, jobs, workers)
+    count = config.replications
+    if _runs_lockstep(config, market):  # one contiguous block per worker
+        # imported only for configs that use it, and before the workers
+        # fork, so that they share the loaded module
+        from . import lockstep  # noqa: F401
+
+        k = max(1, min(workers, count))
+        blocks = [range(count * i // k, count * (i + 1) // k) for i in range(k)]
+    else:
+        blocks = [range(rep, rep + 1) for rep in range(count)]
+    jobs = [(config, market, block) for block in blocks]
+    reps = [r for outs in _map_reps(_market_worker, jobs, workers) for r in outs]
     reps.sort(key=lambda r: r.rep)
     n = market.n
     T = config.horizon

@@ -107,6 +107,24 @@ class TestApplicationStage:
         run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(2, 3, "certain"), 1, random.Random(0), outcomes.append)
         assert outcomes[0].matching.agent_match == (0, None)
 
+    def test_firm_hires_on_round_start_estimates(self):
+        # firm 0 starts the round preferring agent 0 (0.6 over 0.5); this
+        # round's point-mass draws (0.1 and 0.9) flip its estimated order,
+        # but the hire must use the order as of the round start
+        market = Market(
+            ((0.9, 0.5), (0.8, 0.3)),
+            ((0.1, 0.9), (0.4, 0.6)),
+            RewardModel("point"),
+        )
+        agent_est, firm_est = fresh(market)
+        firm_est.record(0, 0, 0.6).record(0, 1, 0.5)
+        policy = FixedPlanPolicy([((0, 1), (0,)), ((0, 1), (0,))])
+        outcomes = []
+        run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(2, 2, "uncertain"), 1, random.Random(0), outcomes.append)
+        assert firm_est.pref_list(0) == (1, 0)  # the draws did flip it
+        assert outcomes[0].gamma[0] == 1
+        assert outcomes[0].matching.agent_match == (0, None)
+
     def test_rejecting_firm_leaves_everyone_out(self):
         market = two_by_three()
         agent_est, firm_est = fresh(market, firm_oracle=True)

@@ -127,6 +127,14 @@ INTEGER_FIELDS = (
     "market.generator.market_seed",
 )
 BOOLEAN_FIELDS = ("market.generator.alpha_reducible", "log_rounds")
+FLOAT_FIELDS = (
+    "market.generator.min_gap",
+    "market.generator.sigma",
+    "sigma",
+    "lambda",
+    "epsilon",
+    "market.arms",
+)
 
 
 def config_with(fieldname, value):
@@ -136,6 +144,12 @@ def config_with(fieldname, value):
         return base_config(market={"generator": {**_GENERATOR, key: value}})
     if fieldname == "target_rank":
         return base_config(algorithm="eap", market={"arms": [0.9, 0.5]}, target_rank=value)
+    if fieldname == "lambda":
+        return base_config(algorithm="eancdrr", **{"lambda": value})
+    if fieldname == "epsilon":
+        return base_config(algorithm="allprobe", market={"arms": [0.9, 0.5]}, epsilon=value)
+    if fieldname == "market.arms":
+        return base_config(algorithm="allprobe", market={"arms": [value, 0.5]})
     return base_config(**{fieldname: value})
 
 
@@ -159,6 +173,25 @@ class TestStrictFieldTypes:
     @pytest.mark.parametrize("fieldname", BOOLEAN_FIELDS)
     def test_boolean_field_accepts_false(self, fieldname):
         config_from_dict(config_with(fieldname, False))
+
+    @pytest.mark.parametrize("value", [0.1, 0])
+    @pytest.mark.parametrize("fieldname", FLOAT_FIELDS)
+    def test_float_field_accepts_numbers(self, fieldname, value):
+        if fieldname == "lambda" and value == 0:
+            value = 0.5  # zero is outside lambda's range
+        config_from_dict(config_with(fieldname, value))
+
+    @pytest.mark.parametrize(
+        "value", ["abc", "0.5", True, None, float("nan"), float("inf"), [0.5]]
+    )
+    @pytest.mark.parametrize("fieldname", FLOAT_FIELDS)
+    def test_float_field_rejects(self, fieldname, value):
+        with pytest.raises(ConfigError, match=f"'{fieldname}': must be a finite number"):
+            config_from_dict(config_with(fieldname, value))
+
+    def test_integer_float_becomes_float(self):
+        config = config_from_dict(config_with("epsilon", 1))
+        assert config.epsilon == 1.0 and isinstance(config.epsilon, float)
 
 
 class TestNamedExamples:
@@ -282,6 +315,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: config field 'horizon'")
+
+    def test_validate_rejects_non_number_in_one_line(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_with("lambda", "half")))
+        assert cli_main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: config field 'lambda'")
+
+    def test_validate_rejects_missing_market_file(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, market={"file": "nope.json"})
+        assert cli_main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field 'market.file'")
+        assert str(tmp_path / "nope.json") in err
+
+    def test_market_file_resolved_next_to_config(self, tmp_path, capsys):
+        save_market(named_example("k3"), tmp_path / "market.json")
+        path = self.write_config(tmp_path, market={"file": "market.json"})
+        assert cli_main(["validate", str(path)]) == 0
+        assert load_config(path).market_file == str(tmp_path / "market.json")
 
     def test_stable_prints_set(self, tmp_path, capsys):
         market_path = tmp_path / "market.json"
