@@ -15,8 +15,8 @@ Schema (all unknown keys rejected)::
       "epsilon": 0.1,            # allprobe/eap only
       "target_rank": 2,          # eap only, defaults to 1
       "reward_kind": "bernoulli",  # arms mode only
-      "sigma": 0.1,
-      "out_dir": "out",          # optional; env/flag can override
+      "sigma": 0.1,                # arms mode only
+      "out_dir": "out",          # optional non-empty string; env/flag can override
       "stride": 100,
       "log_rounds": false
     }
@@ -164,14 +164,14 @@ def _int(fieldname: str, value) -> int:
 
 
 def _float(fieldname: str, value) -> float:
-    """A finite JSON number; booleans, strings, null, NaN and infinities are not."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not math.isfinite(value)
-    ):
-        _fail(fieldname, f"must be a finite number, got {value!r}")
-    return float(value)
+    """A finite JSON number; booleans, strings, null, NaN, infinities and
+    integers too large for a float are not."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):  # not a number, or beyond float range
+        pass
+    _fail(fieldname, f"must be a finite number, got {value!r}")
 
 
 def _bool(fieldname: str, value) -> bool:
@@ -201,10 +201,16 @@ def config_from_dict(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCo
     market_generator = None
     arms = None
     if source_kind == "file":
-        market_file = str(source_value)
+        if not isinstance(source_value, str) or not source_value:
+            _fail("market.file", f"must be a non-empty string, got {source_value!r}")
+        market_file = source_value
         if base_dir is not None and not Path(market_file).is_absolute():
             market_file = str(base_dir / market_file)
-        if not Path(market_file).is_file():
+        try:
+            found = Path(market_file).is_file()
+        except OSError as exc:  # e.g. a name too long for the file system
+            _fail("market.file", f"cannot read {market_file!r}: {exc.strerror}")
+        if not found:
             _fail("market.file", f"no such file: {market_file}")
     elif source_kind == "example":
         if source_value not in EXAMPLE_NAMES:
@@ -280,10 +286,11 @@ def config_from_dict(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCo
     if epsilon < 0:
         _fail("epsilon", "must be >= 0")
 
-    target_rank = raw.get("target_rank")
-    if target_rank is not None and algorithm != "eap":
+    if "target_rank" in raw and algorithm != "eap":
         _fail("target_rank", f"not applicable to algorithm {algorithm!r}")
-    target_rank = 1 if target_rank is None else _int("target_rank", target_rank)
+    target_rank = _int("target_rank", raw.get("target_rank", 1))
+    if target_rank < 1:
+        _fail("target_rank", "must be >= 1")
 
     if algorithm in BANDIT_ALGORITHMS:
         if arms is None and market_example is None and market_file is None and market_generator is None:
@@ -292,9 +299,15 @@ def config_from_dict(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCo
         if arms is not None:
             _fail("market.arms", "market algorithms need a two-sided market, not arms")
 
+    for key in ("reward_kind", "sigma"):
+        if key in raw and arms is None:
+            _fail(key, f"not applicable to market.{source_kind}, which has its own reward model")
     reward_kind = raw.get("reward_kind", "bernoulli")
     if reward_kind not in REWARD_KINDS:
         _fail("reward_kind", f"must be one of {', '.join(REWARD_KINDS)}")
+    out_dir = raw.get("out_dir")
+    if "out_dir" in raw and (not isinstance(out_dir, str) or not out_dir):
+        _fail("out_dir", f"must be a non-empty string, got {out_dir!r}")
 
     return ExperimentConfig(
         algorithm=algorithm,
@@ -311,7 +324,7 @@ def config_from_dict(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCo
         target_rank=target_rank,
         reward_kind=reward_kind,
         sigma=_float("sigma", raw.get("sigma", 0.1)),
-        out_dir=raw.get("out_dir"),
+        out_dir=out_dir,
         stride=stride,
         log_rounds=_bool("log_rounds", raw.get("log_rounds", False)),
     )
@@ -355,10 +368,12 @@ def bandit_arms(config: ExperimentConfig) -> tuple[tuple[float, ...], RewardMode
     one-agent market source whose agent row supplies the means.
     """
     if config.arms is not None:
-        return config.arms, RewardModel(config.reward_kind, config.sigma)
-    market = build_market(config)
-    if market.n != 1:
-        raise ConfigError(
-            f"bandit algorithms need a 1-agent market or arms, got n={market.n}"
-        )
-    return market.agent_means[0], market.reward_model
+        means, model = config.arms, RewardModel(config.reward_kind, config.sigma)
+    else:
+        market = build_market(config)
+        if market.n != 1:
+            _fail("market", f"bandit algorithms need a 1-agent market or arms, got n={market.n}")
+        means, model = market.agent_means[0], market.reward_model
+    if config.algorithm == "eap" and config.target_rank >= len(means):
+        _fail("target_rank", f"must be below the number of arms, {len(means)}")
+    return means, model

@@ -75,11 +75,9 @@ def compute_feedback(
     firm_hold: Sequence[Optional[int]], prev_hold: Sequence[Optional[int]]
 ) -> tuple[frozenset[int], frozenset[int]]:
     """V' = vacant firms; V adds firms whose hire changed since last round."""
-    vprime = frozenset(f for f, a in enumerate(firm_hold) if a is None)
-    changed = frozenset(
-        f for f in range(len(firm_hold)) if firm_hold[f] != prev_hold[f]
-    )
-    return vprime, vprime | changed
+    vprime = frozenset([f for f, a in enumerate(firm_hold) if a is None])
+    changed = [f for f, (a, b) in enumerate(zip(firm_hold, prev_hold)) if a != b]
+    return vprime, vprime.union(changed)
 
 
 def run_horizon(
@@ -113,10 +111,6 @@ def run_horizon(
     if initial_matching is not None:
         prev_hold = list(initial_matching.firm_match)
 
-    firm_orders_static = None
-    if firm_est.oracle:
-        firm_orders_static = [firm_est.pref_list(f) for f in range(m)]
-
     # convergence tracking: first round of the current all-matched constant streak
     streak_start: Optional[int] = None
     last_match: Optional[tuple[Optional[int], ...]] = None
@@ -124,6 +118,8 @@ def run_horizon(
 
     bernoulli = model.kind == "bernoulli"
     rand = rng.random
+    agent_record, firm_record = agent_est.record, firm_est.record
+    decide, firm_observe = firm_policy.decide, firm_policy.observe
 
     for t in range(start_round, start_round + T):
         plans = agent_policy.plan(t)
@@ -145,11 +141,25 @@ def run_horizon(
                     raise ProtocolError(f"agent {a} applies to non-interviewed firm {f}", t)
                 pools[f].append(a)
 
-        # hiring decisions look at estimates as of the round start
-        if firm_orders_static is not None:
-            firm_orders = firm_orders_static
-        else:
-            firm_orders = [firm_est.pref_list(f) for f in range(m)]
+        # hiring reads only round-start estimates and draws no randomness, so
+        # it runs before this round's interviews; firms without applicants
+        # keep gamma 1 and are never ranked
+        gamma = [1] * m
+        offers: list[Optional[int]] = [None] * m
+        for f, pool in enumerate(pools):
+            if not pool:
+                continue
+            order = firm_est.pref_list(f)
+            gamma[f] = decide(t, f, pool, order)
+            if not gamma[f]:
+                continue
+            if len(pool) == 1:
+                offers[f] = pool[0]
+                continue
+            for a in order:
+                if a in pool:
+                    offers[f] = a
+                    break
 
         # interview stage: one draw per side per listed firm
         for a, plan in enumerate(plans):
@@ -160,26 +170,15 @@ def run_horizon(
                         v = 1.0 if rand() < row_a[f] else 0.0
                     else:
                         v = draw_reward(row_a[f], model, rng)
-                    agent_est.record(a, f, v)
+                    agent_record(a, f, v)
                 if sample_firm_side:
                     if bernoulli:
                         v = 1.0 if rand() < firm_means[f][a] else 0.0
                     else:
                         v = draw_reward(firm_means[f][a], model, rng)
-                    firm_est.record(f, a, v)
+                    firm_record(f, a, v)
 
-        # application stage: gamma, offers, acceptance by priority
-        gamma = [1] * m
-        offers: list[Optional[int]] = [None] * m
-        for f in range(m):
-            pool = pools[f]
-            if not pool:
-                continue
-            gamma[f] = firm_policy.decide(t, f, pool, firm_orders[f])
-            if gamma[f]:
-                order = firm_orders[f]
-                offers[f] = min(pool, key=order.index)
-
+        # acceptance by priority
         agent_match: list[Optional[int]] = [None] * n
         firm_hold: list[Optional[int]] = [None] * m
         for a, plan in enumerate(plans):
@@ -190,8 +189,7 @@ def run_horizon(
                     break
 
         rewards = []
-        for a in range(n):
-            f = agent_match[a]
+        for a, f in enumerate(agent_match):
             if f is None:
                 rewards.append(0.0)
             elif bernoulli:
@@ -201,10 +199,10 @@ def run_horizon(
 
         vprime, v = compute_feedback(firm_hold, prev_hold)
 
-        for f in range(m):
-            firm_policy.observe(t, f, pools[f], firm_hold[f])
+        for f, pool in enumerate(pools):
+            firm_observe(t, f, pool, firm_hold[f])
         matching = Matching(tuple(agent_match), m)
-        apps = tuple(plan.applications for plan in plans)
+        apps = tuple([plan.applications for plan in plans])
         feedback = AgentFeedback(t, vprime, v, apps, matching.agent_match)
         agent_policy.observe(t, feedback)
 
@@ -212,7 +210,7 @@ def run_horizon(
             recorder(
                 RoundOutcome(
                     t,
-                    tuple(plan.interviews for plan in plans),
+                    tuple([plan.interviews for plan in plans]),
                     apps,
                     tuple(gamma),
                     matching,

@@ -60,15 +60,17 @@ def update_firm_rej_vars(
 ) -> FirmState:
     """End-of-round clock update.
 
-    A realized hire stamps ``r`` for every passed-over applicant; any vacant
-    round (abstention, empty pool, or a declined offer) stamps ``c``.
+    A realized hire stamps ``r`` for every passed-over applicant, so a hire
+    from a one-applicant pool stamps nothing; any vacant round (abstention,
+    empty pool, or a declined offer) stamps ``c``.
     """
-    if hired is not None:
+    if hired is None:
+        state.c = t
+    elif len(applicants) > 1:
+        r = state.r
         for a in applicants:
             if a != hired:
-                state.r[a] = t
-    else:
-        state.c = t
+                r[a] = t
     return state
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -51,19 +51,19 @@ def _ranked(arms: Sequence[ArmState], epsilon: Optional[float]) -> list[int]:
 
     ``epsilon=None`` ranks by empirical mean alone.
     """
-
-    def key(j: int):
-        arm = arms[j]
+    keys = []
+    for j, arm in enumerate(arms):
         if arm.count == 0:
-            return (0, 0.0, j)
-        score = arm.mean if epsilon is None else arm.mean + epsilon * arm.variance
-        return (1, -score, j)
+            keys.append((0, 0.0, j))
+        elif epsilon is None:
+            keys.append((1, -arm.mean, j))
+        else:  # ucb_prime's index
+            keys.append((1, -(arm.mean + epsilon * (arm.m2 / arm.count)), j))
+    keys.sort()
+    return [key[2] for key in keys]
 
-    return sorted(range(len(arms)), key=key)
 
-
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):  # built every step: a tuple is cheaper than a frozen dataclass
     t: int
     rr_arm: int
     probes: tuple[int, int]
@@ -88,9 +88,16 @@ class HintedBandit:
         order = _ranked(self.arms, None if by_mean else self.epsilon)
         lo, hi = order[rank - 1], order[rank]
         rr = t % m
-        draw_rr = draw_reward(self.means[rr], self.model, rng)
-        draw_lo = draw_reward(self.means[lo], self.model, rng)
-        draw_hi = draw_reward(self.means[hi], self.model, rng)
+        means = self.means
+        if self.model.kind == "bernoulli":
+            rand = rng.random
+            draw_rr = 1.0 if rand() < means[rr] else 0.0
+            draw_lo = 1.0 if rand() < means[lo] else 0.0
+            draw_hi = 1.0 if rand() < means[hi] else 0.0
+        else:
+            draw_rr = draw_reward(means[rr], self.model, rng)
+            draw_lo = draw_reward(means[lo], self.model, rng)
+            draw_hi = draw_reward(means[hi], self.model, rng)
         if draw_hi > draw_lo:
             pulled = hi
         elif draw_lo > draw_hi:
@@ -205,6 +212,7 @@ def run_hinted(
     pulls = np.zeros(m, dtype=np.int64)
     last_quarter = np.zeros(m, dtype=np.int64)
     quarter_start = T - T // 4
+    increments: dict[tuple[int, int], float] = {}  # per probed pair
     acc = 0.0
     for t in range(1, T + 1):
         if algorithm == "allprobe":
@@ -215,8 +223,12 @@ def run_hinted(
             step = bandit.apem_step(t, rng)
         else:
             raise ParameterError(f"unknown hinted algorithm {algorithm!r}")
-        lo, hi = step.probes
-        acc += max(0.0, regret_target - expected_max(means[lo], means[hi], model))
+        inc = increments.get(step.probes)
+        if inc is None:
+            lo, hi = step.probes
+            inc = max(0.0, regret_target - expected_max(means[lo], means[hi], model))
+            increments[step.probes] = inc
+        acc += inc
         cum[t - 1] = acc
         pulls[step.pulled] += 1
         if t > quarter_start:

@@ -209,8 +209,6 @@ class RunRecorder:
     abstains twice in a row.
     """
 
-    KINDS = SERIES_KINDS
-
     def __init__(
         self,
         market: Market,
@@ -219,10 +217,6 @@ class RunRecorder:
         T: int,
         expect_no_collisions: bool = False,
         certain_firms: bool = False,
-        invalidity: Optional[InvalidityCounter] = None,
-        agent_est=None,
-        firm_est=None,
-        keep_matchings: bool = False,
         retain_rounds: Optional[Sequence[int]] = None,
     ):
         self.market = market
@@ -246,14 +240,8 @@ class RunRecorder:
         self.gamma_zero_rounds = 0
         self.certain_gamma_violations = 0
         self.consecutive_abstentions = 0
-        self._prev_gamma = [1] * market.m
-        self._prev_pool = [0] * market.m
-        self.invalidity = invalidity
-        self._agent_est = agent_est
-        self._firm_est = firm_est
-        self.matchings: Optional[list[tuple[Optional[int], ...]]] = (
-            [] if keep_matchings else None
-        )
+        self._prev_gamma: Sequence[int] = (1,) * market.m
+        self._prev_pool: Sequence[int] = (0,) * market.m
         self.outcomes: Optional[list[RoundOutcome]] = None
 
     def keep_outcomes(self) -> "RunRecorder":
@@ -263,17 +251,14 @@ class RunRecorder:
     def __call__(self, outcome: RoundOutcome) -> None:
         self.rounds_seen += 1
         market = self.market
-        match = outcome.matching.agent_match
-        rewards = outcome.rewards
         co, cp = self._cum_opt, self._cum_pess
         cpo, cpp = self._cum_pseudo_opt, self._cum_pseudo_pess
-        agent_means = market.agent_means
-        for a, (bo, bp) in enumerate(zip(self._base_opt, self._base_pess)):
-            x = rewards[a]
+        rows = zip(self._base_opt, self._base_pess, outcome.rewards,
+                   outcome.matching.agent_match, market.agent_means)
+        for a, (bo, bp, x, f, row) in enumerate(rows):
             co[a] += bo - x
             cp[a] += bp - x
-            f = match[a]
-            u = agent_means[a][f] if f is not None else 0.0
+            u = row[f] if f is not None else 0.0
             cpo[a] += bo - u
             cpp[a] += bp - u
         t = outcome.t
@@ -284,39 +269,32 @@ class RunRecorder:
             self.vprime_subset_violations += 1
         if len(outcome.vprime) < market.m - market.n:
             self.vprime_size_violations += 1
-        pool_sizes = [0] * market.m
-        for apps in outcome.applications:
-            for f in apps:
-                pool_sizes[f] += 1
-        if self.expect_no_collisions and any(s > 1 for s in pool_sizes):
-            self.collision_rounds += 1
-        prev_gamma = self._prev_gamma
-        prev_pool = self._prev_pool
-        for f, g in enumerate(outcome.gamma):
-            if g == 0:
-                self.gamma_zero_rounds += 1
-                if self.certain_firms:
-                    self.certain_gamma_violations += 1
-                if prev_gamma[f] == 0 and prev_pool[f] > 0 and pool_sizes[f] > 0:
-                    self.consecutive_abstentions += 1
-            prev_gamma[f] = g
-            prev_pool[f] = pool_sizes[f]
-        if self.invalidity is not None:
-            self.invalidity.observe(self._agent_est, self._firm_est)
-        if self.matchings is not None:
-            self.matchings.append(match)
+        # pool sizes matter only for collisions and for abstaining firms: a
+        # previous round's sizes are read only where it had a gamma of 0
+        gamma = outcome.gamma
+        if self.expect_no_collisions or 0 in gamma:
+            pool_sizes = [0] * market.m
+            for apps in outcome.applications:
+                for f in apps:
+                    pool_sizes[f] += 1
+            if self.expect_no_collisions and max(pool_sizes) > 1:
+                self.collision_rounds += 1
+            prev_gamma, prev_pool = self._prev_gamma, self._prev_pool
+            for f, g in enumerate(gamma):
+                if g == 0:
+                    self.gamma_zero_rounds += 1
+                    if self.certain_firms:
+                        self.certain_gamma_violations += 1
+                    if prev_gamma[f] == 0 and prev_pool[f] > 0 and pool_sizes[f] > 0:
+                        self.consecutive_abstentions += 1
+            self._prev_pool = pool_sizes
+        self._prev_gamma = gamma
         if self.outcomes is not None:
             self.outcomes.append(outcome)
 
     # -- results -----------------------------------------------------------
-    def stored_rounds(self) -> list[int]:
-        return sorted(self._stored)
-
     def stored_rows(self) -> dict[int, tuple]:
         return dict(self._stored)
-
-    def row_at(self, t: int, kind: str = "optimal") -> tuple[float, ...]:
-        return self._stored[t][self.KINDS.index(kind)]
 
     def _series(self, slot: int) -> np.ndarray:
         return np.asarray([self._stored[t][slot] for t in sorted(self._stored)])

@@ -271,16 +271,10 @@ def resolve_out_dir(config: ExperimentConfig, override: Optional[str] = None) ->
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Cells render with ``str``, which for a float is its shortest ``repr``."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(x) for x in row) + "\n")
-
-
-def _cell(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[list, list]:

@@ -125,6 +125,28 @@ class TestApplicationStage:
         assert outcomes[0].gamma[0] == 1
         assert outcomes[0].matching.agent_match == (0, None)
 
+    def test_only_firms_with_applicants_are_ranked(self):
+        class CountingEstimator(EstimatorState):
+            def __init__(self, rows, cols):
+                super().__init__(rows, cols)
+                self.ranked = []
+
+            def pref_list(self, owner):
+                self.ranked.append(owner)
+                return super().pref_list(owner)
+
+        market = two_by_three()
+        agent_est = EstimatorState(market.n, market.m)
+        firm_est = CountingEstimator(market.m, market.n)
+        # firm 2 is interviewed but never applied to; firm 0 gets both agents
+        policy = FixedPlanPolicy([((0, 2), (0,)), ((0, 2), (0,))])
+        firms = StrategicFirmPolicy(2, 3, "uncertain")
+        outcomes = []
+        run_horizon(market, agent_est, firm_est, policy, firms, 3, random.Random(0), outcomes.append)
+        assert firm_est.ranked == [0, 0, 0]
+        assert [o.gamma for o in outcomes] == [(1, 1, 1)] * 3
+        assert outcomes[-1].matching.agent_match == (0, None)
+
     def test_rejecting_firm_leaves_everyone_out(self):
         market = two_by_three()
         agent_est, firm_est = fresh(market, firm_oracle=True)

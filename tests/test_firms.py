@@ -53,6 +53,12 @@ class TestUpdateFirmRejVars:
         assert state.r == [4, 0, 0]
         assert state.c == 0
 
+    def test_one_applicant_hire_stamps_nothing(self):
+        state = FirmState(2)
+        state.r, state.c = [3, 0], 2
+        update_firm_rej_vars(state, t=7, applicants=[1], hired=1)
+        assert (state.r, state.c) == ([3, 0], 2)
+
     def test_abstention_stamps_vacancy(self):
         state = FirmState(2)
         update_firm_rej_vars(state, t=9, applicants=[0], hired=None)

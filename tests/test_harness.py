@@ -3,9 +3,16 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interview_markets.cli import main as cli_main
 from interview_markets.config import (
+    _GENERATOR_KEYS,
+    _TOP_KEYS,
+    ALGORITHMS,
+    MARKET_ALGORITHMS,
+    ExperimentConfig,
     bandit_arms,
     build_market,
     config_from_dict,
@@ -13,13 +20,14 @@ from interview_markets.config import (
 )
 from interview_markets.errors import ConfigError
 from interview_markets.market import (
+    RewardModel,
     enumerate_stable_matchings,
     gale_shapley,
     ground_truth_prefs,
     save_market,
 )
 from interview_markets.named_markets import EXAMPLE_NAMES, named_example
-from interview_markets.runner import config_hash, run_experiment
+from interview_markets.runner import _write_csv, config_hash, run_experiment
 
 
 def base_config(**overrides):
@@ -150,6 +158,8 @@ def config_with(fieldname, value):
         return base_config(algorithm="allprobe", market={"arms": [0.9, 0.5]}, epsilon=value)
     if fieldname == "market.arms":
         return base_config(algorithm="allprobe", market={"arms": [value, 0.5]})
+    if fieldname == "sigma":  # top-level sigma applies to arms only
+        return base_config(algorithm="apem", market={"arms": [0.9, 0.5]}, sigma=value)
     return base_config(**{fieldname: value})
 
 
@@ -192,6 +202,161 @@ class TestStrictFieldTypes:
     def test_integer_float_becomes_float(self):
         config = config_from_dict(config_with("epsilon", 1))
         assert config.epsilon == 1.0 and isinstance(config.epsilon, float)
+
+    @pytest.mark.parametrize("fieldname", FLOAT_FIELDS)
+    def test_float_field_rejects_integer_beyond_float_range(self, fieldname):
+        with pytest.raises(ConfigError, match=f"'{fieldname}': must be a finite number"):
+            config_from_dict(config_with(fieldname, 10**400))
+
+
+THREE_ARMS = {"arms": [0.9, 0.5, 0.2]}
+
+
+def market_config(algorithm, **overrides):
+    raw = base_config(algorithm=algorithm, **overrides)
+    if algorithm == "eancdrr":
+        raw["lambda"] = 0.5
+    return raw
+
+
+class TestFieldApplicability:
+    @pytest.mark.parametrize("value", [5, "", None, True, ["out"], {"dir": "out"}])
+    def test_out_dir_must_be_non_empty_string(self, value):
+        with pytest.raises(ConfigError, match="'out_dir': must be a non-empty string"):
+            config_from_dict(base_config(out_dir=value))
+
+    def test_out_dir_string_kept(self):
+        assert config_from_dict(base_config(out_dir="results")).out_dir == "results"
+
+    @pytest.mark.parametrize("field, value", [
+        ("reward_kind", "gaussian"), ("reward_kind", "bernoulli"), ("sigma", 0.2),
+    ])
+    @pytest.mark.parametrize("algorithm", MARKET_ALGORITHMS)
+    def test_reward_fields_not_applicable_to_market_algorithms(self, algorithm, field, value):
+        with pytest.raises(ConfigError, match=f"'{field}': not applicable"):
+            config_from_dict(market_config(algorithm, **{field: value}))
+
+    @pytest.mark.parametrize("field, value", [("reward_kind", "gaussian"), ("sigma", 0.2)])
+    def test_reward_fields_not_applicable_to_a_market_source(self, field, value):
+        # a bandit on a one-agent market draws from that market's reward model
+        raw = base_config(algorithm="apem", market={"example": "coordfgs"}, **{field: value})
+        with pytest.raises(ConfigError, match=f"'{field}': not applicable"):
+            config_from_dict(raw)
+
+    def test_reward_fields_apply_to_arms(self):
+        config = config_from_dict(
+            base_config(algorithm="allprobe", market=THREE_ARMS, reward_kind="gaussian", sigma=0.05)
+        )
+        assert bandit_arms(config)[1] == RewardModel("gaussian", 0.05)
+
+    def test_null_target_rank_is_not_an_integer(self):
+        raw = base_config(algorithm="eap", market=THREE_ARMS, target_rank=None)
+        with pytest.raises(ConfigError, match="'target_rank': must be an integer"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("value", [None, 1, 2])
+    @pytest.mark.parametrize("algorithm", ["cia", "ancdrr", "allprobe", "apem"])
+    def test_target_rank_not_applicable_elsewhere(self, algorithm, value):
+        raw = base_config(algorithm=algorithm, target_rank=value)
+        if algorithm in ("allprobe", "apem"):
+            raw["market"] = THREE_ARMS
+        with pytest.raises(ConfigError, match="'target_rank': not applicable"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_target_rank_below_one_rejected(self, value):
+        raw = base_config(algorithm="eap", market=THREE_ARMS, target_rank=value)
+        with pytest.raises(ConfigError, match="'target_rank': must be >= 1"):
+            config_from_dict(raw)
+
+    def test_eap_target_rank_beyond_the_arms_fails_before_running(self, tmp_path):
+        config = config_from_dict(base_config(algorithm="eap", market=THREE_ARMS, target_rank=3))  # the arm count is checked when arms are built
+        with pytest.raises(ConfigError, match="'target_rank': must be below the number of arms, 3"):
+            run_experiment(config, out_dir=str(tmp_path))
+
+    def test_eap_target_rank_defaults_to_one(self):
+        assert config_from_dict(base_config(algorithm="eap", market=THREE_ARMS)).target_rank == 1
+
+    @pytest.mark.parametrize("value", [5, None, "", ["m.json"]])
+    def test_market_file_must_be_non_empty_string(self, value):
+        with pytest.raises(ConfigError, match="'market.file': must be a non-empty string"):
+            config_from_dict(base_config(market={"file": value}))
+
+    def test_market_file_name_too_long(self, tmp_path):
+        with pytest.raises(ConfigError, match="'market.file'"):
+            config_from_dict(base_config(market={"file": str(tmp_path / ("x" * 5000))}))
+
+
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),  # NaN and both infinities included
+    st.text(max_size=12),
+    st.sampled_from(ALGORITHMS + ("certain", "uncertain", "gaussian", "point", "k3")),
+)
+# values at the edges of what each field accepts, drawn as often as the rest
+EDGE_VALUES = st.sampled_from(
+    [0, -1, 0.5, 10**400, -(10**400), float("nan"), float("-inf"), "", "x" * 300, None]
+)
+JSON_VALUES = st.one_of(
+    EDGE_VALUES,
+    JSON_LEAVES,
+    st.recursive(
+        JSON_LEAVES,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+        max_leaves=10,
+    ),
+)
+VALID_CONFIGS = (
+    base_config(),
+    base_config(algorithm="eancdrr", market={"generator": _GENERATOR}, **{"lambda": 0.5}),
+    base_config(algorithm="eap", market={"arms": [0.9, 0.5, 0.2]}, target_rank=2,
+                reward_kind="gaussian", sigma=0.05, out_dir="out"),
+)
+
+
+def _keys(names):
+    known = st.sampled_from(sorted(names))
+    return st.one_of(known, known, known, st.text(max_size=8))
+
+
+EDITS = st.one_of(
+    st.tuples(st.just("top"), _keys(_TOP_KEYS), JSON_VALUES),
+    st.tuples(st.just("market"), _keys({"file", "example", "generator", "arms"}), JSON_VALUES),
+    st.tuples(st.just("generator"), _keys(_GENERATOR_KEYS), JSON_VALUES),
+    st.tuples(st.just("delete"), _keys(_TOP_KEYS), st.none()),
+)
+
+
+class TestConfigParsingProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(base=st.sampled_from(VALID_CONFIGS), edits=st.lists(EDITS, min_size=1, max_size=3))
+    def test_any_edit_parses_or_raises_config_error(self, base, edits):
+        raw = json.loads(json.dumps(base))
+        for scope, key, value in edits:
+            if scope == "top":
+                raw[key] = value
+            elif scope == "delete":
+                raw.pop(key, None)
+            elif scope == "market":
+                if not isinstance(raw.get("market"), dict):
+                    raw["market"] = {}
+                raw["market"][key] = value
+            else:
+                market = raw.get("market")
+                generator = market.get("generator") if isinstance(market, dict) else None
+                if not isinstance(generator, dict):
+                    generator = dict(_GENERATOR)
+                generator[key] = value
+                raw["market"] = {"generator": generator}
+        try:
+            config = config_from_dict(raw)
+        except ConfigError:
+            return
+        assert isinstance(config, ExperimentConfig)
+        json.dumps(config.canonical_dict(), allow_nan=False)
 
 
 class TestNamedExamples:
@@ -288,6 +453,23 @@ class TestRunExperiment:
         assert (tmp_path / "envout" / "summary.json").exists()
 
 
+class TestCsvRendering:
+    def test_cells_render_as_repr_for_floats_and_str_otherwise(self, tmp_path):
+        floats = [0.1, 1e-17, 1e16, -0.0, 2.5e-05]
+        others = [0, 7, -3, "1;2", ""]
+        path = tmp_path / "cells.csv"
+        _write_csv(path, ["a", "b"], [floats, others])
+        lines = path.read_text().split("\n")
+        assert lines == ["a,b", "0.1,1e-17,1e+16,-0.0,2.5e-05", "0,7,-3,1;2,", ""]
+        assert lines[1] == ",".join(repr(x) for x in floats)
+        assert lines[2] == ",".join(str(x) for x in others)
+
+    def test_no_rows_writes_the_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        _write_csv(path, ["t", "agent"], [])
+        assert path.read_bytes() == b"t,agent\n"
+
+
 class TestCli:
     def write_config(self, tmp_path, **overrides):
         path = tmp_path / "config.json"
@@ -323,6 +505,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: config field 'lambda'")
+
+    def test_validate_rejects_non_string_out_dir_in_one_line(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, out_dir=5)
+        assert cli_main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: config field 'out_dir'")
 
     def test_validate_rejects_missing_market_file(self, tmp_path, capsys):
         path = self.write_config(tmp_path, market={"file": "nope.json"})

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from interview_markets import hinted
 from interview_markets.errors import ParameterError
 from interview_markets.hinted import (
     ArmState,
@@ -226,6 +227,30 @@ class TestRunHinted:
             if int(np.argmax(result.last_quarter_pulls)) == 1:
                 hits += 1
         assert hits >= 36
+
+    @pytest.mark.parametrize("algorithm, rank", [("allprobe", 1), ("apem", 1), ("eap", 2)])
+    def test_regret_is_hinted_regret_of_the_trajectory(self, algorithm, rank, monkeypatch):
+        # run_hinted computes each probed pair's increment once; the series
+        # must equal the per-step sum over the same trajectory. A product
+        # stands in for E[max] so that every pair has its own increment.
+        calls = []
+
+        def product(x, y, model):
+            calls.append((x, y))
+            return x * y
+
+        monkeypatch.setattr(hinted, "expected_max", product)
+        means, model, T = (0.3, 0.2, 0.1, 0.05, 0.02), RewardModel("bernoulli"), 400
+        result = run_hinted(algorithm, means, model, T, random.Random(4), target_rank=rank)
+        assert len(calls) == len(set(calls)) > 1
+        bandit, rng = HintedBandit(means, model, 0.1), random.Random(4)
+        steps = [
+            bandit.eap_step(t, rank, rng) if algorithm == "eap"
+            else getattr(bandit, f"{algorithm}_step")(t, rng)
+            for t in range(1, T + 1)
+        ]
+        expected = hinted_regret(steps, means, model, rank)
+        assert result.cumulative_regret.tolist() == expected.tolist()
 
     def test_unknown_algorithm(self):
         with pytest.raises(ParameterError):

@@ -6,14 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interview_markets.central import CentralAllocator
-from interview_markets.engine import run_horizon
+from interview_markets.engine import RoundOutcome, run_horizon
 from interview_markets.errors import ParameterError
 from interview_markets.estimation import EstimatorState
 from interview_markets.firms import StrategicFirmPolicy
-from interview_markets.market import enumerate_stable_matchings, generate_alpha_reducible, ground_truth_prefs
+from interview_markets.market import (
+    Matching,
+    enumerate_stable_matchings,
+    generate_alpha_reducible,
+    ground_truth_prefs,
+)
 from interview_markets.metrics import (
     InvalidityCounter,
     RegretSeries,
+    RunRecorder,
     convergence_round,
     count_invalid_rounds,
     gap_table,
@@ -175,6 +181,77 @@ class TestInvalidityCounter:
         second = sum(counter.counts.values()) - first
         assert first > 0
         assert second < max(1, 0.01 * first)
+
+
+COUNTERS = (
+    "collision_rounds",
+    "vprime_subset_violations",
+    "vprime_size_violations",
+    "gamma_zero_rounds",
+    "certain_gamma_violations",
+    "consecutive_abstentions",
+)
+
+
+def reference_counters(outcomes, n, m, expect_no_collisions, certain_firms):
+    """The six invariant counters, spelled out firm by firm and round by round."""
+    counts = dict.fromkeys(COUNTERS, 0)
+    prev_gamma, prev_pool = [1] * m, [0] * m
+    for out in outcomes:
+        pool = [sum(apps.count(f) for apps in out.applications) for f in range(m)]
+        counts["collision_rounds"] += expect_no_collisions and any(s > 1 for s in pool)
+        counts["vprime_subset_violations"] += not out.vprime <= out.v
+        counts["vprime_size_violations"] += len(out.vprime) < m - n
+        for f in range(m):
+            if out.gamma[f] == 0:
+                counts["gamma_zero_rounds"] += 1
+                counts["certain_gamma_violations"] += certain_firms
+                if prev_gamma[f] == 0 and prev_pool[f] > 0 and pool[f] > 0:
+                    counts["consecutive_abstentions"] += 1
+            prev_gamma[f], prev_pool[f] = out.gamma[f], pool[f]
+    return counts
+
+
+@st.composite
+def round_outcomes(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(n, 4))
+    firms = st.integers(0, m - 1)
+    subsets = st.frozensets(firms)
+    outcomes = []
+    for t in range(1, draw(st.integers(1, 10)) + 1):
+        applications = tuple(
+            tuple(draw(st.lists(firms, max_size=2, unique=True))) for _ in range(n)
+        )
+        agent_match = tuple(draw(st.permutations(list(range(m)) + [None] * n))[:n])
+        outcomes.append(RoundOutcome(
+            t,
+            applications,
+            applications,
+            tuple(draw(st.lists(st.sampled_from([0, 0, 1]), min_size=m, max_size=m))),
+            Matching(agent_match, m),
+            tuple(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))),
+            draw(subsets),
+            draw(subsets),
+        ))
+    return n, m, outcomes
+
+
+class TestRunRecorderCounters:
+    @settings(max_examples=100, deadline=None)
+    @given(case=round_outcomes(), expect_no_collisions=st.booleans(), certain=st.booleans())
+    def test_counters_match_reference(self, case, expect_no_collisions, certain):
+        n, m, outcomes = case
+        market = generate_alpha_reducible(n, m, 0.05, random.Random(1))
+        recorder = RunRecorder(
+            market, [0.5] * n, [0.25] * n, len(outcomes),
+            expect_no_collisions=expect_no_collisions, certain_firms=certain,
+        )
+        for out in outcomes:
+            recorder(out)
+        expected = reference_counters(outcomes, n, m, expect_no_collisions, certain)
+        assert {name: getattr(recorder, name) for name in COUNTERS} == expected
+        assert recorder.rounds_seen == len(outcomes)
 
 
 class TestBaselines:
