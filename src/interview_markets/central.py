@@ -7,10 +7,8 @@ directs each agent to interview its assigned firm plus a round-robin firm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .engine import AgentFeedback, AgentPlan
-from .market import PrefList, agent_proposing_match
+from .market import agent_proposing_match
 
 
 def round_robin_firm(agent: int, t: int, m: int) -> int:
@@ -20,28 +18,6 @@ def round_robin_firm(agent: int, t: int, m: int) -> int:
     exactly once per agent.
     """
     return (t + agent + 1) % m
-
-
-@dataclass(frozen=True)
-class CiaPlan:
-    apply_firm: tuple[int, ...]
-    rr_firm: tuple[int, ...]
-
-    def interview_sets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            (a, r) for a, r in zip(self.apply_firm, self.rr_firm)
-        )
-
-
-def cia_plan(
-    agent_lists: list[PrefList], firm_lists: list[PrefList], t: int
-) -> CiaPlan:
-    """Apply firms from deferred acceptance on the given lists, plus RR firms."""
-    m = len(firm_lists)
-    match = agent_proposing_match(agent_lists, firm_lists)
-    apply_firm = tuple(match)  # agents fully matched since n <= m
-    rr_firm = tuple(round_robin_firm(a, t, m) for a in range(len(agent_lists)))
-    return CiaPlan(apply_firm, rr_firm)
 
 
 class CentralAllocator:

@@ -22,7 +22,8 @@ Schema (all unknown keys rejected)::
     }
 
 Generator params: n, m, min_gap, alpha_reducible (bool), reward_kind, sigma,
-market_seed (defaults to base_seed).
+market_seed (defaults to base_seed). They must be feasible:
+``1 <= n <= m`` and ``0 < min_gap`` with ``min_gap * m < 1``.
 
 Integer fields take JSON numbers without a fractional part, real fields
 (``min_gap``, ``sigma``, ``lambda``, ``epsilon``, arms) only finite JSON
@@ -46,6 +47,7 @@ from .market import (
     RewardModel,
     generate_alpha_reducible,
     generate_market,
+    generator_param_error,
     load_market,
 )
 from .named_markets import EXAMPLE_NAMES, named_example
@@ -246,6 +248,11 @@ def config_from_dict(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCo
             _fail(f"market.generator.{exc.args[0]}", "missing required field")
         if market_generator.reward_kind not in REWARD_KINDS:
             _fail("market.generator.reward_kind", f"must be one of {', '.join(REWARD_KINDS)}")
+        error = generator_param_error(
+            market_generator.n, market_generator.m, market_generator.min_gap
+        )
+        if error is not None:
+            _fail(f"market.generator.{error[0]}", error[1])
     elif source_kind == "arms":
         if not isinstance(source_value, list) or len(source_value) < 2:
             _fail("market.arms", "must be a list of at least two means")

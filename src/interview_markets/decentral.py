@@ -52,6 +52,11 @@ class AgentState:
             self.reopened = [False] * self.m
 
 
+def drr_phase_length(n: int) -> int:
+    """Rounds of a coordinated phase's deferred acceptance before it commits."""
+    return 3 * n * n
+
+
 def drr_candidate_set(state: AgentState) -> tuple[int, ...]:
     """Firms with no recorded rejection since the current phase started."""
     t_gs = state.t_gs
@@ -84,7 +89,7 @@ class CoordinatedPolicy:
         self.n = n
         self.m = m
         self.agent_est = agent_est
-        self.phase_length = phase_length if phase_length is not None else 3 * n * n
+        self.phase_length = phase_length if phase_length is not None else drr_phase_length(n)
         self.states = [AgentState(m) for _ in range(n)]
         self._self_trigger: list[Optional[str]] = [None] * n
         # phase log rows: (index, t_gs, trigger kinds, committed profile)

@@ -1,40 +1,45 @@
-"""Lockstep replications of the central allocator (``cia``) on numpy arrays.
+"""Lockstep replications of the central allocator (``cia``) and the
+coordinated learner (``drr``) on numpy arrays.
 
 A block of R replications advances round by round together. Estimates live
 in ``(R, n, m)`` agent-side and ``(R, m, n)`` firm-side sum and count arrays,
-each side's estimated lists come from one stable argsort of the block's
-keys, and regret accumulates over the whole block. Two things stay scalar
-per replication, so that every replication's :class:`RepOutput` equals the
-one ``runner.run_market_replication`` returns for it:
+with each pair's ranking key, and regret accumulates over the whole block.
+Every replication's :class:`RepOutput` equals the one
+``runner.run_market_replication`` returns for it, because:
 
-- deferred acceptance, which is ``market._deferred_acceptance`` itself;
-- the random draws, which come from the replication's own ``random.Random``
-  stream in the scalar engine's order: for each agent in index order and
-  each of its two interviews (assigned firm, then round-robin firm), the
+- the random draws come from the replication's own ``random.Random`` stream
+  in the scalar engine's order: for each agent in index order and each of
+  its two interviews (the firm it targets, then the round-robin firm), the
   agent-side draw and then, for uncertain firms, the firm-side draw; after
-  those, one reward draw per agent in index order.
+  those, one reward draw per matched agent in index order;
+- ``cia``'s deferred acceptance is ``market._deferred_acceptance`` itself;
+- ``drr``'s agents and firms choose by ``argmin`` over ranking keys, whose
+  first-occurrence rule gives ``estimation._sort_key``'s order.
 
 ``engine.run_horizon`` is the reference; the runner sends only Bernoulli
-``cia`` configs without per-round logs here.
+``cia`` and ``drr`` configs without per-round logs here.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import chain, islice, repeat
 from typing import Sequence
 
 import numpy as np
 
+from .central import round_robin_firm
+from .decentral import drr_phase_length
 from .errors import ProtocolError
 from .market import Market, _deferred_acceptance
 from .runner import RepOutput, checkpoint_rounds, market_baselines
 
-
 class _Estimates:
     """Sums and counts of one side for a block, as flat ``(R, owners, peers)``
     arrays, with each pair's ranking key: minus its mean, or -inf while
-    unobserved. A stable argsort of the keys gives ``estimation._sort_key``'s
-    order: unobserved peers first, then decreasing mean, ties by index."""
+    unobserved. A stable argsort of the keys, or an argmin over some of
+    them, gives ``estimation._sort_key``'s order: unobserved peers first,
+    then decreasing mean, ties by index."""
 
     def __init__(self, shape: tuple[int, int, int]):
         self.shape = shape
@@ -54,93 +59,261 @@ class _Estimates:
         return np.argsort(self.keys.reshape(self.shape), axis=-1, kind="stable")
 
 
+class _Block:
+    """What every lockstep block keeps: each replication's reward stream,
+    both sides' estimates, the regret sums and the convergence streaks."""
+
+    def __init__(self, config, market: Market, reps: Sequence[int]):
+        self.config, self.reps = config, list(reps)
+        R, n, m = len(self.reps), market.n, market.m
+        self.R, self.n, self.m = R, n, m
+        self.uncertain = config.firm_mode == "uncertain"
+        self.interview_draws = n * 2 * (2 if self.uncertain else 1)  # agent side, then firm side
+        self.agent_means = np.array(market.agent_means)
+        self.firm_means = np.array(market.firm_means)
+        # each replication's reward stream, seeded as run_market_replication
+        # seeds it, as an endless iterator of draws (random() never returns 2)
+        self._streams = []
+        for rep in self.reps:
+            master = random.Random(config.base_seed + rep)
+            self._streams.append(iter(random.Random(master.getrandbits(64)).random, 2.0))
+
+        self.agents = np.arange(n)
+        block = np.arange(R)
+        self._a_flat = ((block[:, None] * n + self.agents) * m)[:, :, None]  # + firm
+        self._f_flat = (block * (m * n))[:, None, None] + self.agents[:, None]  # + firm * n
+        self._a_means = np.tile(self.agent_means.ravel(), R)  # at the same flat indices
+        self._f_means = np.tile(self.firm_means.ravel(), R)
+        self._matched_means = np.hstack([self.agent_means, np.zeros((n, 1))])  # firm -1: 0
+        self.agent_est = _Estimates((R, n, m))
+        self.firm_est = _Estimates((R, m, n))
+        self._fs = np.empty((R, n, 2), dtype=np.intp)  # interviewed firms: target, round-robin
+        self._rr = [round_robin_firm(self.agents, t, m) for t in range(m)]  # by t mod m
+
+        self._bases = np.array(market_baselines(market))[:, None, :]  # (2, 1, n): opt, pess
+        self._retain = frozenset(checkpoint_rounds(config.horizon, config.stride))
+        self._cum = np.zeros((4, R, n))  # realized opt, pess; pseudo opt, pess
+        self._stored: list[np.ndarray] = []
+        # first round of each replication's agent-perfect streak, 0 if none
+        self._streak = np.zeros(R, dtype=np.int64)
+        self._last = np.full((R, n), -2)  # no round yet
+
+    def settle(self, t: int, targets: np.ndarray, match: np.ndarray) -> None:
+        """Round ``t`` after hiring: interviews at ``targets`` and the
+        round-robin firms, rewards of ``match`` (-1 for unmatched agents),
+        regret and convergence. Hiring reads only round-start estimates, so
+        the interviews are drawn and recorded after it, as in the engine."""
+        R, n, D = self.R, self.n, self.interview_draws
+        # Streams are independent, so drawing every replication's interviews
+        # and then every replication's rewards keeps each stream's order.
+        draws = chain.from_iterable(map(islice, self._streams, repeat(D)))
+        interviews = np.fromiter(draws, float, R * D).reshape(R, n, 2, -1)
+        fs = self._fs
+        fs[..., 0] = targets
+        fs[..., 1] = self._rr[t % self.m]
+        idx = (self._a_flat + fs).ravel()
+        self.agent_est.record(idx, interviews[..., 0].ravel() < self._a_means[idx])
+        if self.uncertain:
+            idx = (self._f_flat + fs * n).ravel()
+            self.firm_est.record(idx, interviews[..., 1].ravel() < self._f_means[idx])
+
+        matched = match >= 0
+        draws = chain.from_iterable(map(islice, self._streams, matched.sum(1).tolist()))
+        drawn = np.ones((R, n))  # unmatched agents draw nothing; mean 0 gives them reward 0
+        drawn[matched] = np.fromiter(draws, float)
+        mean = self._matched_means[self.agents, match]
+        cum = self._cum
+        cum[:2] += self._bases - (drawn < mean).astype(float)
+        cum[2:] += self._bases - mean
+        if t in self._retain:
+            self._stored.append(cum.copy())
+
+        changed = match != self._last
+        if changed.any():
+            perfect = np.where(matched.all(1), t, 0)
+            self._streak = np.where(changed.any(1), perfect, self._streak)
+            self._last = match
+
+    def outputs(self, phase_logs=None, **counters: np.ndarray) -> list[RepOutput]:
+        """One :class:`RepOutput` per replication, in plain Python values;
+        invariant counters not given stay zero."""
+        marks = sorted(self._retain)
+        rows = np.array(self._stored).transpose(2, 0, 1, 3).tolist()  # (R, marks, 4, n)
+        counts = {name: values.tolist() for name, values in counters.items()}
+        streak, last = self._streak.tolist(), self._last.tolist()
+        return [
+            RepOutput(
+                rep=rep,
+                seed=self.config.base_seed + rep,
+                rows={t: tuple(map(tuple, kinds)) for t, kinds in zip(marks, rows[i])},
+                converged_round=streak[i] or None,
+                final_matching=tuple(f if f >= 0 else None for f in last[i]),
+                phase_log=phase_logs[i] if phase_logs else [],
+                **{name: values[i] for name, values in counts.items()},
+            )
+            for i, rep in enumerate(self.reps)
+        ]
+
+
 def run_cia_block(config, market: Market, reps: Sequence[int]) -> list[RepOutput]:
     """Replications ``reps`` of a Bernoulli ``cia`` config, run in lockstep."""
-    n, m, T = market.n, market.m, config.horizon
-    R = len(reps)
-    uncertain = config.firm_mode == "uncertain"
-    interview_draws = n * 2 * (2 if uncertain else 1)  # agent side, then firm side
-    draws = interview_draws + n  # then one reward draw per agent
-    agent_means = np.array(market.agent_means)
-    firm_means = np.array(market.firm_means)
-    bases = np.array(market_baselines(market))[:, None, :]  # (2, 1, n): opt, pess
-    retain = frozenset(checkpoint_rounds(T, config.stride))
+    blk = _Block(config, market, reps)
+    if not blk.uncertain:  # OracleEstimator's lists never move
+        order = np.argsort(-blk.firm_means, axis=-1, kind="stable")
+        f_ranks = [np.argsort(order, axis=-1).tolist()] * blk.R
 
-    rands = []
-    for rep in reps:
-        master = random.Random(config.base_seed + rep)
-        rands.append(random.Random(master.getrandbits(64)).random)
-
-    agents = np.arange(n)
-    block = np.arange(R)
-    a_flat = ((block[:, None] * n + agents) * m)[:, :, None]  # + firm
-    f_flat = (block * (m * n))[:, None, None] + agents[:, None]  # + firm * n
-    agent_est = _Estimates((R, n, m))
-    firm_est = _Estimates((R, m, n))
-    if not uncertain:  # OracleEstimator's lists never move
-        order = np.argsort(-firm_means, axis=-1, kind="stable")
-        f_ranks = [np.argsort(order, axis=-1).tolist()] * R
-
-    fs = np.empty((R, n, 2), dtype=np.intp)  # interviewed firms: assigned, round-robin
-    cum = np.zeros((4, R, n))  # realized opt, pess; pseudo opt, pess
-    stored = []
-    streak = [0] * R  # first round of each replication's current matching
-    last: list = [None] * R
-
-    for t in range(1, T + 1):
-        a_lists = agent_est.lists().tolist()
-        if uncertain:
-            f_ranks = np.argsort(firm_est.lists(), axis=-1).tolist()  # rank rows
+    for t in range(1, config.horizon + 1):
+        a_lists = blk.agent_est.lists().tolist()
+        if blk.uncertain:
+            f_ranks = np.argsort(blk.firm_est.lists(), axis=-1).tolist()  # rank rows
         # Deferred acceptance is injective, so every firm's pool holds at
         # most one applicant: firms never stamp a rejection clock and never
         # abstain, and each agent is hired by its assigned firm. The firm
         # clocks are skipped and the six invariant counters stay zero (V'
         # holds exactly the m - n unassigned firms, and V = V' | changed).
         rows = []
-        for i, rep in enumerate(reps):
-            row = [-1] * n
+        for i, rep in enumerate(blk.reps):
+            row = [-1] * blk.n
             for f, a in enumerate(_deferred_acceptance(a_lists[i], f_ranks[i])):
                 if a is not None:
                     row[a] = f
             if -1 in row:
                 raise ProtocolError(f"replication {rep}: agent {row.index(-1)} unmatched", t)
-            if row != last[i]:
-                streak[i], last[i] = t, row
             rows.append(row)
-        u = np.array([[rand() for _ in range(draws)] for rand in rands])
         match = np.array(rows)
-        fs[..., 0] = match
-        fs[..., 1] = (t + agents + 1) % m
+        blk.settle(t, match, match)
+    return blk.outputs()
 
-        interviews = u[:, :interview_draws].reshape(R, n, 2, -1)
-        seen = interviews[..., 0] < agent_means[agents[:, None], fs]
-        agent_est.record((a_flat + fs).ravel(), seen.ravel())
-        if uncertain:
-            seen = interviews[..., 1] < firm_means[fs, agents[:, None]]
-            firm_est.record((f_flat + fs * n).ravel(), seen.ravel())
 
-        mean = agent_means[agents, match]
-        reward = (u[:, interview_draws:] < mean).astype(float)
-        cum[:2] += bases - reward
-        cum[2:] += bases - mean
-        if t in retain:
-            stored.append(cum.copy())
+def run_drr_block(config, market: Market, reps: Sequence[int]) -> list[RepOutput]:
+    """Replications ``reps`` of a Bernoulli ``drr`` config, run in lockstep.
 
-    marks = sorted(retain)
-    rows_by_rep = np.array(stored).transpose(2, 0, 1, 3).tolist()  # (R, marks, 4, n)
-    return [
-        RepOutput(
-            rep=rep,
-            seed=config.base_seed + rep,
-            rows={t: tuple(map(tuple, kinds)) for t, kinds in zip(marks, rows_by_rep[i])},
-            converged_round=streak[i],  # every matching is agent-perfect
-            final_matching=tuple(last[i]),
-            gamma_zero_rounds=0,
-            collision_rounds=0,
-            vprime_subset_violations=0,
-            vprime_size_violations=0,
-            certain_gamma_violations=0,
-            consecutive_abstentions=0,
-        )
-        for i, rep in enumerate(reps)
-    ]
+    ``decentral.CoordinatedPolicy`` and ``firms.StrategicFirmPolicy`` as
+    masks: each agent targets the first firm of its candidate set under its
+    keys (the ``t_gs`` snapshot while updating, the live keys while
+    committing), and each firm with applicants offers to the first of them
+    under its keys, or abstains. Snapshots, commits, resets and phase-log
+    rows are rare and handled per replication.
+    """
+    blk = _Block(config, market, reps)
+    R, n, m, uncertain = blk.R, blk.n, blk.m, blk.uncertain
+    length = drr_phase_length(n)
+    agents, firms = blk.agents, np.arange(m)[:, None]
+    firm_rows = np.arange(R)[:, None] * m  # + firm: flat (R, m) index
+    pool_rows = np.arange(R * m).reshape(R, m) * n  # + agent: flat (R, m, n) index
+    live = blk.agent_est.keys.reshape(R, n, m)  # a view: record updates it in place
+    firm_keys = (
+        blk.firm_est.keys.reshape(R, m, n)
+        if uncertain
+        else np.broadcast_to(-blk.firm_means, (R, m, n))  # OracleEstimator's order
+    )
+
+    # agents: rejection clocks, keys frozen at t_gs, and what a commit fixes
+    r = np.zeros((R, n, m), dtype=np.int64)
+    snapshot = np.zeros((R, n, m))
+    committed = np.zeros((R, n), dtype=np.intp)
+    frozen = np.zeros((R, n, m), dtype=bool)
+    rej_flag = np.zeros((R, n), dtype=bool)
+    t_gs = np.ones(R, dtype=np.int64)
+    committing = np.zeros(R, dtype=bool)  # rho
+    snaps = {1: list(range(R))}  # round -> replications taking their snapshot
+    commits = {1 + length: list(range(R))}  # round -> replications committing
+    # firms: rejection clocks r and vacancy clocks c of update_firm_rej_vars
+    fr = np.zeros((R, m, n), dtype=np.int64)
+    fc = np.zeros((R, m), dtype=np.int64)
+    phase_logs = [[{"index": 0, "t_gs": 1, "triggers": "init", "committed": None}] for _ in reps]
+    gamma_zero = np.zeros(R, dtype=np.int64)
+    consecutive = np.zeros(R, dtype=np.int64)
+    abstained = np.zeros((R, m), dtype=bool)
+
+    for t in range(1, config.horizon + 1):
+        # One t_gs and one phase flag per replication: its agents are
+        # synchronized by construction, which the scalar policy checks.
+        due = snaps.pop(t, None)
+        if due:
+            snapshot[due] = live[due]
+        if committing.all():
+            cand, keys = frozen, live
+        else:
+            updating = ~committing[:, None, None]
+            cand = np.where(updating, r < t_gs[:, None, None], frozen)
+            nonempty = cand.any(-1)
+            if not nonempty.all():
+                i, a = np.argwhere(~nonempty)[0]
+                raise ProtocolError(
+                    f"replication {blk.reps[i]}: agent {a} has an empty candidate set"
+                    " in coordinated phase", t
+                )
+            keys = np.where(updating, snapshot, live)
+        choice = np.where(cand, keys, np.inf).argmin(-1)  # (R, n)
+        # committing agents self-trigger ("rej" before "inc") and abstain
+        trigger = committing[:, None] & (rej_flag | (choice != committed))
+        for i in commits.pop(t, ()):
+            committing[i] = True
+            committed[i] = choice[i]
+            frozen[i] = cand[i]
+            top = np.argsort(snapshot[i], axis=-1, kind="stable")[:, :n]
+            entry = phase_logs[i][-1]
+            entry["committed"] = choice[i].tolist()
+            entry["committed_in_top_n"] = bool((top == choice[i][:, None]).any(1).all())
+
+        apply = ~trigger
+        pool = apply[:, None, :] & (choice[:, None, :] == firms)  # (R, m, n)
+        hired = pool.any(-1)
+        # A firm takes the first agent of its order that applied or, if it is
+        # uncertain, that it rejected (r >= 1) at or after its last vacancy
+        # (c); it abstains when that agent did not apply.
+        heads = pool | ((fr >= 1) & (fr >= fc[..., None])) if uncertain else pool
+        best = np.where(heads, firm_keys, np.inf).argmin(-1)  # (R, m)
+        abstain = hired & ~pool.ravel()[pool_rows + best]
+        if abstain.any():
+            # RunRecorder counts a firm's abstention as consecutive when it
+            # also abstained, from a nonempty pool, the round before; an
+            # abstaining firm always has applicants, so that is the test
+            gamma_zero += abstain.sum(1)
+            consecutive += (abstain & abstained).sum(1)
+            hired &= ~abstain
+        abstained = abstain
+        fc[~hired] = t
+        at_choice = firm_rows + choice
+        matched = apply & (np.where(hired, best, -1).ravel()[at_choice] == agents)
+        match = np.where(matched, choice, -1)
+
+        if not matched.all():
+            # an applicant passed over for another hire stamps both sides' r;
+            # one whose firm stayed vacant raises its rej_flag
+            lost = apply & ~matched
+            vacant = ~hired.ravel()[at_choice]
+            rej_flag |= lost & vacant
+            i, a = np.nonzero(lost & ~vacant)
+            f = choice[i, a]
+            r[i, a, f] = t
+            fr[i, f, a] = t
+            # V' is the set of vacant firms, so |V'| > m - n iff an agent is
+            # unmatched; resets come only once a phase has committed, so no
+            # scheduled commit is pending
+            vac = committing & ~matched.all(1) & ~trigger.all(1)
+            for i in np.flatnonzero(trigger.any(1) | vac):
+                # an abstaining agent applied nowhere: its rej_flag is the one it planned with
+                kinds = {"rej" if flag else "inc" for flag in rej_flag[i][trigger[i]]}
+                if vac[i]:
+                    kinds.add("vac")
+                # committed and frozen are rewritten at the next commit before any read
+                committing[i] = False
+                t_gs[i] = t + 1
+                r[i] = 0
+                rej_flag[i] = False
+                snaps.setdefault(t + 1, []).append(i)
+                commits.setdefault(t + 1 + length, []).append(i)
+                log = phase_logs[i]
+                log.append({"index": len(log), "t_gs": t + 1,
+                            "triggers": "+".join(sorted(kinds)), "committed": None})
+
+        blk.settle(t, choice, match)
+
+    # V' is a subset of V and |V'| >= m - n by construction (each agent holds
+    # at most one firm), and drr expects collisions, so those counters stay 0
+    counters = {"gamma_zero_rounds": gamma_zero, "consecutive_abstentions": consecutive}
+    if not uncertain:
+        counters["certain_gamma_violations"] = gamma_zero  # certain firms never abstain
+    return blk.outputs(phase_logs, **counters)

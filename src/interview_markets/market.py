@@ -359,15 +359,23 @@ def _jittered_levels(length: int, min_gap: float, rng: random.Random) -> list[fl
     return levels
 
 
-def _check_generator_params(n: int, m: int, min_gap: float) -> None:
-    if n < 1 or m < n:
-        raise ParameterError(f"need 1 <= n <= m, got n={n}, m={m}")
+def generator_param_error(n: int, m: int, min_gap: float) -> Optional[tuple[str, str]]:
+    """The first infeasible generator parameter and why, or None."""
+    if n < 1:
+        return "n", f"need 1 <= n, got n={n}"
+    if m < n:
+        return "m", f"need n <= m, got n={n}, m={m}"
     if min_gap <= 0:
-        raise ParameterError("min_gap must be positive")
+        return "min_gap", f"must be positive, got {min_gap}"
     if min_gap * max(n, m) >= 1.0:
-        raise ParameterError(
-            f"min_gap {min_gap} infeasible for {max(n, m)} levels in [0, 1]"
-        )
+        return "min_gap", f"{min_gap} infeasible for {max(n, m)} levels in [0, 1]"
+    return None
+
+
+def _check_generator_params(n: int, m: int, min_gap: float) -> None:
+    error = generator_param_error(n, m, min_gap)
+    if error is not None:
+        raise ParameterError(f"{error[0]}: {error[1]}")
 
 
 def generate_market(

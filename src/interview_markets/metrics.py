@@ -13,35 +13,6 @@ from .estimation import validity
 from .market import Market, PrefList, StableSet, ground_truth_prefs
 
 
-@dataclass
-class RegretSeries:
-    """Cumulative optimal/pessimal regret per agent, one entry per round."""
-
-    baseline_opt: tuple[float, ...]
-    baseline_pess: tuple[float, ...]
-
-    def __post_init__(self):
-        n = len(self.baseline_opt)
-        self._cum_opt = np.zeros(n)
-        self._cum_pess = np.zeros(n)
-        self._rows_opt: list[np.ndarray] = []
-        self._rows_pess: list[np.ndarray] = []
-
-    def update(self, rewards: Sequence[float]) -> "RegretSeries":
-        r = np.asarray(rewards)
-        self._cum_opt = self._cum_opt + (np.asarray(self.baseline_opt) - r)
-        self._cum_pess = self._cum_pess + (np.asarray(self.baseline_pess) - r)
-        self._rows_opt.append(self._cum_opt)
-        self._rows_pess.append(self._cum_pess)
-        return self
-
-    def optimal_series(self) -> np.ndarray:  # shape (T, n)
-        return np.vstack(self._rows_opt)
-
-    def pessimal_series(self) -> np.ndarray:
-        return np.vstack(self._rows_pess)
-
-
 def stable_baselines(market: Market, stable_set: StableSet) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Per-agent means of the best and worst stable partners."""
     opt = tuple(

@@ -80,12 +80,12 @@ class RepOutput:
     rows: dict[int, tuple]  # t -> (opt, pess, pseudo_opt, pseudo_pess) tuples
     converged_round: Optional[int]
     final_matching: tuple
-    gamma_zero_rounds: int
-    collision_rounds: int
-    vprime_subset_violations: int
-    vprime_size_violations: int
-    certain_gamma_violations: int
-    consecutive_abstentions: int
+    gamma_zero_rounds: int = 0
+    collision_rounds: int = 0
+    vprime_subset_violations: int = 0
+    vprime_size_violations: int = 0
+    certain_gamma_violations: int = 0
+    consecutive_abstentions: int = 0
     anomalies: int = 0
     phase_log: list = field(default_factory=list)
     round_log: list = field(default_factory=list)
@@ -186,10 +186,13 @@ def run_market_replication(
     return out
 
 
+_LOCKSTEP_BLOCKS = {"cia": "run_cia_block", "drr": "run_drr_block"}  # in lockstep.py
+
+
 def _runs_lockstep(config: ExperimentConfig, market: Market) -> bool:
     """Configs whose replications run as lockstep blocks (``lockstep.py``)."""
     return (
-        config.algorithm == "cia"
+        config.algorithm in _LOCKSTEP_BLOCKS
         and market.reward_model.kind == "bernoulli"
         and not config.log_rounds
     )
@@ -199,9 +202,9 @@ def _market_worker(args) -> list[RepOutput]:
     """The replications of one job: one scalar run, or a lockstep block."""
     config, market, reps = args
     if _runs_lockstep(config, market):
-        from .lockstep import run_cia_block
+        from . import lockstep
 
-        return run_cia_block(config, market, reps)
+        return getattr(lockstep, _LOCKSTEP_BLOCKS[config.algorithm])(config, market, reps)
     return [run_market_replication(config, market, rep) for rep in reps]
 
 

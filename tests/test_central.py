@@ -1,10 +1,10 @@
 import random
 
-from interview_markets.central import CentralAllocator, cia_plan, round_robin_firm
+from interview_markets.central import CentralAllocator, round_robin_firm
 from interview_markets.engine import run_horizon
 from interview_markets.estimation import EstimatorState, OracleEstimator
 from interview_markets.firms import StrategicFirmPolicy
-from interview_markets.market import enumerate_stable_matchings, ground_truth_prefs
+from interview_markets.market import enumerate_stable_matchings
 from interview_markets.metrics import RunRecorder, stable_baselines
 from interview_markets.named_markets import named_example
 
@@ -23,27 +23,36 @@ class TestRoundRobinFirm:
                 assert sorted(window) == list(range(5))
 
 
+def oracle_plan(agent_means, firm_means, t):
+    """CentralAllocator's round-t plans when both sides know their means."""
+    agent_est, firm_est = OracleEstimator(agent_means), OracleEstimator(firm_means)
+    return CentralAllocator(len(agent_means), len(firm_means), agent_est, firm_est).plan(t)
+
+
 class TestCiaPlan:
     def test_truth_lists_give_agent_optimal(self):
-        agent_lists, firm_lists = ground_truth_prefs(named_example("ucb3x3"))
-        plan = cia_plan(agent_lists, firm_lists, t=1)
-        assert plan.apply_firm == (0, 1, 2)
-        assert plan.rr_firm == (2, 0, 1)
+        market = named_example("ucb3x3")
+        plans = oracle_plan(market.agent_means, market.firm_means, t=1)
+        assert [p.applications for p in plans] == [(0,), (1,), (2,)]
+        assert [p.interviews[1] for p in plans] == [2, 0, 1]
 
     def test_misreported_list_flips_outcome(self):
-        agent_lists, firm_lists = ground_truth_prefs(named_example("ucb3x3"))
-        agent_lists[2] = (0, 2, 1)
-        plan = cia_plan(agent_lists, firm_lists, t=1)
-        assert plan.apply_firm == (1, 0, 2)
+        market = named_example("ucb3x3")
+        agent_means = list(market.agent_means)
+        agent_means[2] = (0.9, 0.1, 0.5)  # agent 3 now ranks firms 1, 3, 2
+        plans = oracle_plan(agent_means, market.firm_means, t=1)
+        assert [p.applications for p in plans] == [(1,), (0,), (2,)]
 
     def test_single_agent_applies_to_estimated_top(self):
-        plan = cia_plan([(1, 0, 2)], [(0,), (0,), (0,)], t=3)
-        assert plan.apply_firm == (1,)
+        plans = oracle_plan([(0.5, 0.9, 0.1)], [(0.5,), (0.5,), (0.5,)], t=3)
+        assert plans[0].applications == (1,)
 
     def test_interview_sets_pair_apply_with_rr(self):
-        agent_lists, firm_lists = ground_truth_prefs(named_example("ucb3x3"))
-        plan = cia_plan(agent_lists, firm_lists, t=2)
-        assert plan.interview_sets() == tuple(zip(plan.apply_firm, plan.rr_firm))
+        market = named_example("ucb3x3")
+        plans = oracle_plan(market.agent_means, market.firm_means, t=2)
+        assert [p.interviews for p in plans] == [
+            (p.applications[0], round_robin_firm(a, 2, 3)) for a, p in enumerate(plans)
+        ]
 
 
 class TestAllocatorRuns:

@@ -1,4 +1,4 @@
-"""Golden artifacts of the scalar reference engine and the hinted bandits.
+"""Golden artifacts of the market algorithms and the hinted bandits.
 
 Each case runs one small Bernoulli config through ``run_experiment`` and
 pins the sha256 of its series and phase CSVs and its summary, taken in
@@ -6,12 +6,17 @@ file-name order. Any change to the round protocol, the RNG draw order, the
 estimators, the firm clocks, the regret accounting, the invariant counters or
 the CSV rendering moves a digest. Gaussian rewards are left out because
 their draws go through libm.
+
+``ancdrr`` and ``eancdrr`` run on the scalar reference engine. ``drr`` runs
+as a lockstep block (``lockstep.run_drr_block``), and once more with the
+runner held to the scalar engine; both must give the pinned digest.
 """
 
 import hashlib
 
 import pytest
 
+from interview_markets import runner
 from interview_markets.config import config_from_dict
 from interview_markets.runner import run_experiment
 
@@ -69,3 +74,10 @@ def artifact_digest(out_dir) -> str:
 def test_artifacts_match_golden_digest(case, tmp_path):
     run_experiment(golden_config(*case), out_dir=str(tmp_path))
     assert artifact_digest(tmp_path) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("firm_mode", ["certain", "uncertain"])
+def test_scalar_drr_matches_golden_digest(firm_mode, tmp_path, monkeypatch):
+    monkeypatch.setattr(runner, "_runs_lockstep", lambda config, market: False)
+    run_experiment(golden_config("drr", firm_mode), out_dir=str(tmp_path))
+    assert artifact_digest(tmp_path) == GOLDEN[("drr", firm_mode)]

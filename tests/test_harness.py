@@ -189,6 +189,8 @@ class TestStrictFieldTypes:
     def test_float_field_accepts_numbers(self, fieldname, value):
         if fieldname == "lambda" and value == 0:
             value = 0.5  # zero is outside lambda's range
+        if fieldname == "market.generator.min_gap" and value == 0:
+            value = 0.25  # no integer is a feasible gap
         config_from_dict(config_with(fieldname, value))
 
     @pytest.mark.parametrize(
@@ -207,6 +209,26 @@ class TestStrictFieldTypes:
     def test_float_field_rejects_integer_beyond_float_range(self, fieldname):
         with pytest.raises(ConfigError, match=f"'{fieldname}': must be a finite number"):
             config_from_dict(config_with(fieldname, 10**400))
+
+
+class TestGeneratorFeasibility:
+    @pytest.mark.parametrize("edits, fieldname", [
+        ({"n": 0}, "n"),
+        ({"n": -2, "m": -3}, "n"),
+        ({"n": 4}, "m"),
+        ({"min_gap": 0}, "min_gap"),
+        ({"min_gap": -0.5}, "min_gap"),
+        ({"m": 4, "min_gap": 0.25}, "min_gap"),  # four levels 0.25 apart do not fit in [0, 1)
+        ({"n": 0, "m": 3, "min_gap": -0.5}, "n"),
+    ])
+    def test_infeasible_generator_is_a_config_error(self, edits, fieldname):
+        raw = base_config(market={"generator": {**_GENERATOR, **edits}})
+        with pytest.raises(ConfigError, match=f"'market.generator.{fieldname}'"):
+            config_from_dict(raw)
+
+    def test_feasible_generator_builds(self):
+        raw = base_config(market={"generator": {**_GENERATOR, "m": 4, "min_gap": 0.24}})
+        assert build_market(config_from_dict(raw)).m == 4
 
 
 THREE_ARMS = {"arms": [0.9, 0.5, 0.2]}
@@ -512,6 +534,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: config field 'out_dir'")
+
+    def test_validate_rejects_infeasible_generator_in_one_line(self, tmp_path, capsys):
+        market = {"generator": {"n": 0, "m": 3, "min_gap": -0.5}}
+        path = self.write_config(tmp_path, algorithm="drr", market=market)
+        assert cli_main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: config field 'market.generator.n'")
 
     def test_validate_rejects_missing_market_file(self, tmp_path, capsys):
         path = self.write_config(tmp_path, market={"file": "nope.json"})

@@ -1,7 +1,9 @@
-"""Lockstep ``cia`` blocks against the scalar engine, replication by replication."""
+"""Lockstep ``cia`` and ``drr`` blocks against the scalar engine, replication
+by replication."""
 
 import json
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,8 @@ from hypothesis import strategies as st
 from interview_markets import lockstep, runner
 from interview_markets.config import ExperimentConfig, config_from_dict
 from interview_markets.errors import ProtocolError
-from interview_markets.lockstep import run_cia_block
-from interview_markets.market import Market
+from interview_markets.lockstep import run_cia_block, run_drr_block
+from interview_markets.market import Market, RewardModel
 from interview_markets.named_markets import named_example
 from interview_markets.runner import run_experiment, run_market_replication
 
@@ -32,48 +34,74 @@ def markets(draw):
     return Market(rows(n, m), rows(m, n))
 
 
-def cia_config(**fields):
+BLOCKS = {"cia": run_cia_block, "drr": run_drr_block}
+
+
+def block_config(**fields):
     base = dict(algorithm="cia", horizon=40, replications=3, base_seed=1,
                 market_example="coordfgs", firm_mode="uncertain", stride=10)
     return ExperimentConfig(**{**base, **fields})
 
 
-@settings(max_examples=80, deadline=None)
+# drr's phases last 3 n^2 rounds (48 for n = 4), so horizons up to 150 see
+# commits and resets by every trigger, strategic abstentions included
+@settings(max_examples=120, deadline=None)
 @given(
+    algorithm=st.sampled_from(sorted(BLOCKS)),
     market=markets(),
     firm_mode=st.sampled_from(["certain", "uncertain"]),
-    horizon=st.integers(1, 80),
+    horizon=st.integers(1, 150),
     replications=st.integers(1, 5),
     split=st.integers(1, 5),
     base_seed=st.integers(0, 10**6),
     stride=st.integers(1, 30),
 )
 def test_blocks_equal_scalar_replications(
-    market, firm_mode, horizon, replications, split, base_seed, stride
+    algorithm, market, firm_mode, horizon, replications, split, base_seed, stride
 ):
-    config = cia_config(horizon=horizon, replications=replications, base_seed=base_seed,
-                        firm_mode=firm_mode, stride=stride)
+    config = block_config(algorithm=algorithm, horizon=horizon, replications=replications,
+                          base_seed=base_seed, firm_mode=firm_mode, stride=stride)
     split = min(split, replications)
     blocks = [range(0, split)] + ([range(split, replications)] if split < replications else [])
-    outs = [out for block in blocks for out in run_cia_block(config, market, block)]
+    outs = [out for block in blocks for out in BLOCKS[algorithm](config, market, block)]
     assert outs == [run_market_replication(config, market, rep) for rep in range(replications)]
 
 
-def test_outputs_are_python_values():
+@pytest.mark.parametrize("algorithm", sorted(BLOCKS))
+def test_outputs_are_python_values(algorithm):
     # numpy scalars would change CSV bytes (repr) or break json.dump
-    for out in run_cia_block(cia_config(), named_example("coordfgs"), range(2)):
+    config = block_config(algorithm=algorithm, horizon=120)
+    for out in BLOCKS[algorithm](config, named_example("coordfgs"), range(2)):
         assert type(out.converged_round) is int
         assert all(type(f) is int for f in out.final_matching)
         assert all(type(x) is float for row in out.rows.values() for kind in row for x in kind)
         assert all(type(getattr(out, name)) is int for name in (
-            "collision_rounds", "vprime_size_violations", "gamma_zero_rounds"))
+            "collision_rounds", "vprime_size_violations", "gamma_zero_rounds",
+            "consecutive_abstentions", "certain_gamma_violations"))
+        for entry in out.phase_log:
+            assert type(entry["index"]) is int and type(entry["t_gs"]) is int
+            assert all(type(f) is int for f in entry["committed"] or [])
+            assert type(entry.get("committed_in_top_n", False)) is bool
+        assert bool(out.phase_log) == (algorithm == "drr")
         json.dumps(asdict(out))
 
 
 def test_unmatched_agent_is_a_protocol_error(monkeypatch):
     monkeypatch.setattr(lockstep, "_deferred_acceptance", lambda prefs, ranks: [None] * len(ranks))
     with pytest.raises(ProtocolError, match="round 1"):
-        run_cia_block(cia_config(), named_example("coordfgs"), range(2))
+        run_cia_block(block_config(), named_example("coordfgs"), range(2))
+
+
+def test_empty_candidate_set_is_a_protocol_error(monkeypatch):
+    # With m >= n a drr agent always keeps a candidate firm, so this takes a
+    # market of two agents and one firm, which Market itself would reject:
+    # the firm hires agent 0 in round 1, and agent 1 has no firm left.
+    market = SimpleNamespace(n=2, m=1, agent_means=((0.5,), (0.4,)),
+                             firm_means=((0.5, 0.4),), reward_model=RewardModel())
+    monkeypatch.setattr(lockstep, "market_baselines", lambda market: ((0.5, 0.4), (0.5, 0.4)))
+    config = block_config(algorithm="drr", firm_mode="certain")
+    with pytest.raises(ProtocolError, match="round 2: replication 1: agent 1 has an empty"):
+        run_drr_block(config, market, range(1, 3))
 
 
 def _raw(**overrides):
@@ -83,15 +111,23 @@ def _raw(**overrides):
     return raw
 
 
+GAUSSIAN = {"generator": {"n": 2, "m": 3, "min_gap": 0.2, "market_seed": 1,
+                          "reward_kind": "gaussian"}}
+
+
 @pytest.mark.parametrize("overrides, scalar", [
     ({}, False),
     ({"firm_mode": "certain"}, False),
     ({"log_rounds": True}, True),
-    ({"algorithm": "drr"}, True),
-    ({"market": {"generator": {"n": 2, "m": 3, "min_gap": 0.2, "market_seed": 1,
-                               "reward_kind": "gaussian"}}}, True),
+    ({"market": GAUSSIAN}, True),
+    ({"algorithm": "drr"}, False),
+    ({"algorithm": "drr", "firm_mode": "certain"}, False),
+    ({"algorithm": "drr", "log_rounds": True}, True),
+    ({"algorithm": "drr", "market": GAUSSIAN}, True),
+    ({"algorithm": "ancdrr"}, True),
+    ({"algorithm": "eancdrr", "lambda": 0.5}, True),
 ])
-def test_runner_picks_lockstep_for_bernoulli_cia_without_logs(
+def test_runner_picks_lockstep_for_bernoulli_cia_and_drr_without_logs(
     monkeypatch, tmp_path, overrides, scalar
 ):
     calls = []
@@ -106,8 +142,9 @@ def test_runner_picks_lockstep_for_bernoulli_cia_without_logs(
     assert bool(calls) == scalar
 
 
-def test_uneven_worker_blocks_write_identical_artifacts(tmp_path):
-    config = config_from_dict(_raw(replications=5))
+@pytest.mark.parametrize("algorithm", sorted(BLOCKS))
+def test_uneven_worker_blocks_write_identical_artifacts(tmp_path, algorithm):
+    config = config_from_dict(_raw(algorithm=algorithm, replications=5))
     run_experiment(config, out_dir=str(tmp_path / "one"), workers=1)
     run_experiment(config, out_dir=str(tmp_path / "two"), workers=2)  # blocks of 2 and 3
     names = sorted(p.name for p in (tmp_path / "one").iterdir())

@@ -11,6 +11,7 @@ from interview_markets.errors import ParameterError
 from interview_markets.estimation import EstimatorState
 from interview_markets.firms import StrategicFirmPolicy
 from interview_markets.market import (
+    Market,
     Matching,
     enumerate_stable_matchings,
     generate_alpha_reducible,
@@ -18,7 +19,6 @@ from interview_markets.market import (
 )
 from interview_markets.metrics import (
     InvalidityCounter,
-    RegretSeries,
     RunRecorder,
     convergence_round,
     count_invalid_rounds,
@@ -29,31 +29,37 @@ from interview_markets.metrics import (
 from interview_markets.named_markets import named_example
 
 
+def record_rewards(base_opt, base_pess, rewards, firm=0):
+    """A one-agent RunRecorder fed one round per reward, matched to ``firm``."""
+    market = Market(((0.9, 0.5),), ((0.5,), (0.4,)))
+    recorder = RunRecorder(market, (base_opt,), (base_pess,), len(rewards))
+    vacant = frozenset({0, 1}) - {firm}
+    for t, x in enumerate(rewards, 1):
+        apps = ((0,),) if firm is not None else ((),)
+        recorder(RoundOutcome(t, ((0, 1),), apps, (1, 1), Matching((firm,), 2), (x,),
+                              vacant, vacant))
+    return recorder
+
+
 class TestRegretSeries:
     def test_matched_to_baseline_point_mass_is_zero(self):
-        series = RegretSeries((0.9,), (0.9,))
-        for _ in range(10):
-            series.update((0.9,))
+        series = record_rewards(0.9, 0.9, [0.9] * 10)
         assert series.optimal_series()[-1, 0] == pytest.approx(0.0)
 
     def test_never_matched(self):
-        series = RegretSeries((0.9,), (0.5,))
-        for _ in range(10):
-            series.update((0.0,))
+        series = record_rewards(0.9, 0.5, [0.0] * 10, firm=None)
         assert series.optimal_series()[-1, 0] == pytest.approx(9.0)
+        assert series.pseudo_optimal_series()[-1, 0] == pytest.approx(9.0)
 
     def test_pessimal_increment_can_go_negative(self):
-        series = RegretSeries((0.9,), (0.5,))
-        series.update((0.8,))
+        series = record_rewards(0.9, 0.5, [0.8])
         assert series.pessimal_series()[-1, 0] == pytest.approx(-0.3)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=50))
     def test_decomposition_identity(self, rewards):
         base_opt, base_pess = 0.8, 0.55
-        series = RegretSeries((base_opt,), (base_pess,))
-        for x in rewards:
-            series.update((x,))
+        series = record_rewards(base_opt, base_pess, rewards)
         opt = series.optimal_series()[:, 0]
         pess = series.pessimal_series()[:, 0]
         t = np.arange(1, len(rewards) + 1)
@@ -62,8 +68,6 @@ class TestRegretSeries:
 
 class TestGapTable:
     def test_simple_agent_gap(self):
-        from interview_markets.market import Market
-
         market = Market(((0.9, 0.5),), ((0.5,), (0.4,)))
         table = gap_table(market, enumerate_stable_matchings(market))
         assert table.agent_optimal[0][1] == pytest.approx(0.4)
