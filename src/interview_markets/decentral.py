@@ -20,36 +20,46 @@ of the rejection itself never re-opens the firm.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Optional
 
 from .engine import AgentFeedback, AgentPlan
 from .errors import ParameterError, ProtocolError
-from .estimation import argmax_snapshot, snapshot_pref_order
+from .estimation import argmax_snapshot
 from .central import round_robin_firm
 
 
 @dataclass
-class AgentState:
-    """Per-agent private state shared by the decentralized policies."""
+class DrrState:
+    """One ``drr`` agent within the current phase."""
 
-    m: int
-    r: list[int] = field(default_factory=list)  # last non-strategic rejection, 0=never
-    reopened: list[bool] = field(default_factory=list)  # hiring change after r
-    rho: int = 0  # 1 = committing
-    t_gs: int = 1
+    r: list[int]  # round of the last rejection by each firm, 0 = never
     rej_flag: bool = False  # own applied firm went vacant since t_gs
     snapshot: Optional[list] = None  # (count, mean) rows frozen at t_gs
     frozen_candidates: Optional[tuple[int, ...]] = None
     committed: Optional[int] = None
-    prev_apply: Optional[int] = None
-    anchor: Optional[int] = None
+    trigger: Optional[str] = None  # "rej" or "inc" once it abstains to signal
 
-    def __post_init__(self):
-        if not self.r:
-            self.r = [0] * self.m
-        if not self.reopened:
-            self.reopened = [False] * self.m
+
+@dataclass
+class _OpenFirms:
+    """A coordination-free agent's firm bookkeeping: the round of its last
+    non-strategic rejection by each firm (0 = never), and whether that firm
+    changed hands strictly after it."""
+
+    r: list[int]
+    reopened: list[bool]
+
+
+@dataclass
+class AncdrrState(_OpenFirms):
+    prev_apply: Optional[int] = None  # fallback target when no firm is open
+
+
+@dataclass
+class EancdrrState(_OpenFirms):
+    anchor: Optional[int] = None  # firm last held, or first applied to
 
 
 def drr_phase_length(n: int) -> int:
@@ -57,23 +67,25 @@ def drr_phase_length(n: int) -> int:
     return 3 * n * n
 
 
-def drr_candidate_set(state: AgentState) -> tuple[int, ...]:
+def drr_candidate_set(r: list[int], t_gs: int, t: int, agent: int) -> tuple[int, ...]:
     """Firms with no recorded rejection since the current phase started."""
-    t_gs = state.t_gs
-    cand = tuple(f for f in range(state.m) if state.r[f] < t_gs)
+    cand = tuple(f for f, last in enumerate(r) if last < t_gs)
     if not cand:
-        raise ProtocolError("empty candidate set in coordinated phase")
+        raise ProtocolError(
+            f"agent {agent} has an empty candidate set in coordinated phase", t
+        )
     return cand
 
 
-def ancdrr_candidate_set(state: AgentState) -> tuple[int, ...]:
+def ancdrr_candidate_set(state: _OpenFirms) -> tuple[int, ...]:
     """Firms never rejecting the agent, or re-opened by a later hiring change."""
     return tuple(
-        f for f in range(state.m) if state.r[f] == 0 or state.reopened[f]
+        f for f, (last, reopened) in enumerate(zip(state.r, state.reopened))
+        if last == 0 or reopened
     )
 
 
-def _best_open_firm(order, state: AgentState) -> Optional[int]:
+def _best_open_firm(order, state: _OpenFirms) -> Optional[int]:
     """First firm of ``order`` in ``ancdrr_candidate_set(state)``, or None."""
     r, reopened = state.r, state.reopened
     for f in order:
@@ -83,39 +95,28 @@ def _best_open_firm(order, state: AgentState) -> Optional[int]:
 
 
 class CoordinatedPolicy:
-    """Vacancy-feedback learner with synchronized updating/committing phases."""
+    """Vacancy-feedback learner with synchronized updating/committing phases.
+
+    All agents share one phase start ``t_gs`` and phase flag ``rho``
+    (1 = committing), so they cannot fall out of step.
+    """
 
     def __init__(self, n: int, m: int, agent_est, phase_length: Optional[int] = None):
         self.n = n
         self.m = m
         self.agent_est = agent_est
         self.phase_length = phase_length if phase_length is not None else drr_phase_length(n)
-        self.states = [AgentState(m) for _ in range(n)]
-        self._self_trigger: list[Optional[str]] = [None] * n
+        self.t_gs = 1
+        self.rho = 0
+        self.states = [DrrState([0] * m) for _ in range(n)]
         # phase log rows: (index, t_gs, trigger kinds, committed profile)
         self.phase_log: list[dict] = [
             {"index": 0, "t_gs": 1, "triggers": "init", "committed": None}
         ]
 
-    # -- helpers ---------------------------------------------------------
-    def in_updating(self) -> bool:
-        return self.states[0].rho == 0
-
-    def _snapshot_top_n(self, st: AgentState) -> tuple[int, ...]:
-        return snapshot_pref_order(st.snapshot)[: self.n]
-
-    def _assert_synchronized(self, t: int) -> None:
-        first = (self.states[0].rho, self.states[0].t_gs)
-        for i, st in enumerate(self.states):
-            if (st.rho, st.t_gs) != first:
-                raise ProtocolError(
-                    f"agent {i} desynchronized: {(st.rho, st.t_gs)} vs {first}", t
-                )
-
     # -- engine interface ------------------------------------------------
     def plan(self, t: int) -> list[AgentPlan]:
-        self._assert_synchronized(t)
-        t_gs = self.states[0].t_gs
+        t_gs = self.t_gs
         commit_round = t_gs + self.phase_length
         plans = []
         if t <= commit_round:
@@ -123,40 +124,34 @@ class CoordinatedPolicy:
             # boundary round replays the settled profile and commits it
             for i, st in enumerate(self.states):
                 rr = round_robin_firm(i, t, self.m)
-                if t == t_gs or st.snapshot is None:
+                if st.snapshot is None:  # a phase's states start without one
                     st.snapshot = self.agent_est.snapshot_row(i)
-                    st.rho = 0
-                cand = drr_candidate_set(st)
+                cand = drr_candidate_set(st.r, t_gs, t, i)
                 target = argmax_snapshot(st.snapshot, cand)
                 if t == commit_round:
-                    st.rho = 1
                     st.committed = target
                     st.frozen_candidates = cand
                 plans.append(AgentPlan((target, rr), (target,)))
             if t == commit_round:
-                entry = self.phase_log[-1]
-                entry["committed"] = [st.committed for st in self.states]
-                entry["committed_in_top_n"] = all(
-                    st.committed in self._snapshot_top_n(st) for st in self.states
-                )
+                self.rho = 1
+                self.phase_log[-1]["committed"] = [st.committed for st in self.states]
         else:
             for i, st in enumerate(self.states):
                 rr = round_robin_firm(i, t, self.m)
                 current = self.agent_est.argmax(i, st.frozen_candidates)
                 if st.rej_flag:
-                    self._self_trigger[i] = "rej"
+                    st.trigger = "rej"
                 elif current != st.committed:
-                    self._self_trigger[i] = "inc"
-                if self._self_trigger[i] is not None:
+                    st.trigger = "inc"
+                if st.trigger is not None:
                     plans.append(AgentPlan((current, rr), ()))  # abstain to signal
                 else:
                     plans.append(AgentPlan((current, rr), (current,)))
         return plans
 
     def observe(self, t: int, feedback: AgentFeedback) -> None:
-        vac_signal = len(feedback.vprime) > self.m - self.n
+        vac_signal = self.rho == 1 and len(feedback.vprime) > self.m - self.n
         kinds = set()
-        resets = False
         for i, st in enumerate(self.states):
             applied = feedback.own_applications[i]
             matched = feedback.own_match[i]
@@ -167,22 +162,14 @@ class CoordinatedPolicy:
                         st.rej_flag = True  # strategic abstention hit this agent
                     else:
                         st.r[f] = t  # rejected in favor of another hire
-            if self._self_trigger[i] is not None:
-                kinds.add(self._self_trigger[i])
-                resets = True
-            elif st.rho == 1 and vac_signal:
+            if st.trigger is not None:
+                kinds.add(st.trigger)
+            elif vac_signal:
                 kinds.add("vac")
-                resets = True
-        if resets:
-            for i, st in enumerate(self.states):
-                st.t_gs = t + 1
-                st.rho = 0
-                st.r = [0] * self.m
-                st.rej_flag = False
-                st.snapshot = None
-                st.frozen_candidates = None
-                st.committed = None
-                self._self_trigger[i] = None
+        if kinds:
+            self.t_gs = t + 1
+            self.rho = 0
+            self.states = [DrrState([0] * self.m) for _ in range(self.n)]
             self.phase_log.append(
                 {
                     "index": len(self.phase_log),
@@ -196,12 +183,12 @@ class CoordinatedPolicy:
 class CoordinationFreePolicy:
     """Hiring-change-feedback learner; no cross-agent coordination."""
 
-    def __init__(self, n: int, m: int, agent_est):
+    def __init__(self, n: int, m: int, agent_est, events: Optional[Counter] = None):
         self.n = n
         self.m = m
         self.agent_est = agent_est
-        self.states = [AgentState(m) for _ in range(n)]
-        self.empty_candidate_anomalies = 0
+        self.states = [AncdrrState([0] * m, [False] * m) for _ in range(n)]
+        self.events = Counter() if events is None else events
 
     def plan(self, t: int) -> list[AgentPlan]:
         plans = []
@@ -209,7 +196,7 @@ class CoordinationFreePolicy:
             rr = round_robin_firm(i, t, self.m)
             target = _best_open_firm(self.agent_est.pref_list(i), st)
             if target is None:
-                self.empty_candidate_anomalies += 1
+                self.events["empty_candidate_anomalies"] += 1
                 target = st.prev_apply if st.prev_apply is not None else rr
             st.prev_apply = target
             plans.append(AgentPlan((target, rr), (target,)))
@@ -224,7 +211,10 @@ class ExtendedCoordinationFreePolicy:
     previous anchor otherwise, and apply to both so losing the probe does not
     vacate the anchor."""
 
-    def __init__(self, n: int, m: int, agent_est, lam: float, rng: random.Random):
+    def __init__(
+        self, n: int, m: int, agent_est, lam: float, rng: random.Random,
+        events: Optional[Counter] = None,
+    ):
         if not 0.0 < lam < 1.0:
             raise ParameterError(f"lambda must be in (0, 1), got {lam}")
         self.n = n
@@ -232,8 +222,8 @@ class ExtendedCoordinationFreePolicy:
         self.agent_est = agent_est
         self.lam = lam
         self.rng = rng
-        self.states = [AgentState(m) for _ in range(n)]
-        self.empty_candidate_anomalies = 0
+        self.states = [EancdrrState([0] * m, [False] * m) for _ in range(n)]
+        self.events = Counter() if events is None else events
 
     def plan(self, t: int) -> list[AgentPlan]:
         plans = []
@@ -241,7 +231,7 @@ class ExtendedCoordinationFreePolicy:
             rr = round_robin_firm(i, t, self.m)
             target = _best_open_firm(self.agent_est.pref_list(i), st)
             if target is None:
-                self.empty_candidate_anomalies += 1
+                self.events["empty_candidate_anomalies"] += 1
                 target = st.anchor if st.anchor is not None else rr
             anchor = st.anchor
             if anchor is None:
@@ -268,7 +258,7 @@ class ExtendedCoordinationFreePolicy:
 
 
 def _apply_v_events_then_rejections(
-    states: list[AgentState], t: int, feedback: AgentFeedback
+    states: list[_OpenFirms], t: int, feedback: AgentFeedback
 ) -> None:
     """Order matters: this round's hiring changes re-open firms first, then
     this round's rejections close them again, so a firm that rejected the

@@ -135,16 +135,6 @@ def argmax_snapshot(snapshot: Sequence[tuple[float, float]], candidates: Iterabl
     )
 
 
-def snapshot_pref_order(snapshot: Sequence[tuple[float, float]]) -> tuple[int, ...]:
-    """Full preference order induced by a frozen (count, mean) row."""
-    return tuple(
-        sorted(
-            range(len(snapshot)),
-            key=lambda j: _sort_key(snapshot[j][0], snapshot[j][1], j),
-        )
-    )
-
-
 @dataclass(frozen=True)
 class ValidityReport:
     valid: bool

@@ -32,6 +32,7 @@ from .central import round_robin_firm
 from .decentral import drr_phase_length
 from .errors import ProtocolError
 from .market import Market, _deferred_acceptance
+from .metrics import INVARIANTS
 from .runner import RepOutput, checkpoint_rounds, market_baselines
 
 class _Estimates:
@@ -61,7 +62,8 @@ class _Estimates:
 
 class _Block:
     """What every lockstep block keeps: each replication's reward stream,
-    both sides' estimates, the regret sums and the convergence streaks."""
+    both sides' estimates, the regret sums, the convergence streaks and the
+    invariant event counts."""
 
     def __init__(self, config, market: Market, reps: Sequence[int]):
         self.config, self.reps = config, list(reps)
@@ -97,6 +99,8 @@ class _Block:
         # first round of each replication's agent-perfect streak, 0 if none
         self._streak = np.zeros(R, dtype=np.int64)
         self._last = np.full((R, n), -2)  # no round yet
+        # each replication's count of every invariant event, as RunRecorder's
+        self.events = {name: np.zeros(R, dtype=np.int64) for name in INVARIANTS}
 
     def settle(self, t: int, targets: np.ndarray, match: np.ndarray) -> None:
         """Round ``t`` after hiring: interviews at ``targets`` and the
@@ -134,12 +138,11 @@ class _Block:
             self._streak = np.where(changed.any(1), perfect, self._streak)
             self._last = match
 
-    def outputs(self, phase_logs=None, **counters: np.ndarray) -> list[RepOutput]:
-        """One :class:`RepOutput` per replication, in plain Python values;
-        invariant counters not given stay zero."""
+    def outputs(self, phase_logs=None) -> list[RepOutput]:
+        """One :class:`RepOutput` per replication, in plain Python values."""
         marks = sorted(self._retain)
         rows = np.array(self._stored).transpose(2, 0, 1, 3).tolist()  # (R, marks, 4, n)
-        counts = {name: values.tolist() for name, values in counters.items()}
+        counts = {name: values.tolist() for name, values in self.events.items()}
         streak, last = self._streak.tolist(), self._last.tolist()
         return [
             RepOutput(
@@ -148,8 +151,8 @@ class _Block:
                 rows={t: tuple(map(tuple, kinds)) for t, kinds in zip(marks, rows[i])},
                 converged_round=streak[i] or None,
                 final_matching=tuple(f if f >= 0 else None for f in last[i]),
+                events={name: values[i] for name, values in counts.items()},
                 phase_log=phase_logs[i] if phase_logs else [],
-                **{name: values[i] for name, values in counts.items()},
             )
             for i, rep in enumerate(self.reps)
         ]
@@ -169,8 +172,8 @@ def run_cia_block(config, market: Market, reps: Sequence[int]) -> list[RepOutput
         # Deferred acceptance is injective, so every firm's pool holds at
         # most one applicant: firms never stamp a rejection clock and never
         # abstain, and each agent is hired by its assigned firm. The firm
-        # clocks are skipped and the six invariant counters stay zero (V'
-        # holds exactly the m - n unassigned firms, and V = V' | changed).
+        # clocks are skipped and no invariant event happens (V' holds
+        # exactly the m - n unassigned firms, and V = V' | changed).
         rows = []
         for i, rep in enumerate(blk.reps):
             row = [-1] * blk.n
@@ -222,13 +225,10 @@ def run_drr_block(config, market: Market, reps: Sequence[int]) -> list[RepOutput
     fr = np.zeros((R, m, n), dtype=np.int64)
     fc = np.zeros((R, m), dtype=np.int64)
     phase_logs = [[{"index": 0, "t_gs": 1, "triggers": "init", "committed": None}] for _ in reps]
-    gamma_zero = np.zeros(R, dtype=np.int64)
-    consecutive = np.zeros(R, dtype=np.int64)
     abstained = np.zeros((R, m), dtype=bool)
 
     for t in range(1, config.horizon + 1):
-        # One t_gs and one phase flag per replication: its agents are
-        # synchronized by construction, which the scalar policy checks.
+        # one t_gs and one phase flag per replication, as in the scalar policy
         due = snaps.pop(t, None)
         if due:
             snapshot[due] = live[due]
@@ -252,10 +252,7 @@ def run_drr_block(config, market: Market, reps: Sequence[int]) -> list[RepOutput
             committing[i] = True
             committed[i] = choice[i]
             frozen[i] = cand[i]
-            top = np.argsort(snapshot[i], axis=-1, kind="stable")[:, :n]
-            entry = phase_logs[i][-1]
-            entry["committed"] = choice[i].tolist()
-            entry["committed_in_top_n"] = bool((top == choice[i][:, None]).any(1).all())
+            phase_logs[i][-1]["committed"] = choice[i].tolist()
 
         apply = ~trigger
         pool = apply[:, None, :] & (choice[:, None, :] == firms)  # (R, m, n)
@@ -270,8 +267,8 @@ def run_drr_block(config, market: Market, reps: Sequence[int]) -> list[RepOutput
             # RunRecorder counts a firm's abstention as consecutive when it
             # also abstained, from a nonempty pool, the round before; an
             # abstaining firm always has applicants, so that is the test
-            gamma_zero += abstain.sum(1)
-            consecutive += (abstain & abstained).sum(1)
+            blk.events["gamma_zero_rounds"] += abstain.sum(1)
+            blk.events["consecutive_abstentions"] += (abstain & abstained).sum(1)
             hired &= ~abstain
         abstained = abstain
         fc[~hired] = t
@@ -312,8 +309,7 @@ def run_drr_block(config, market: Market, reps: Sequence[int]) -> list[RepOutput
         blk.settle(t, choice, match)
 
     # V' is a subset of V and |V'| >= m - n by construction (each agent holds
-    # at most one firm), and drr expects collisions, so those counters stay 0
-    counters = {"gamma_zero_rounds": gamma_zero, "consecutive_abstentions": consecutive}
-    if not uncertain:
-        counters["certain_gamma_violations"] = gamma_zero  # certain firms never abstain
-    return blk.outputs(phase_logs, **counters)
+    # at most one firm), drr expects collisions, its agents always keep a
+    # candidate (or raise), and certain firms choose within their pools, so
+    # they never abstain: those events never happen here
+    return blk.outputs(phase_logs)

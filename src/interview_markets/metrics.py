@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -11,17 +12,6 @@ from .engine import RoundOutcome
 from .errors import ParameterError
 from .estimation import validity
 from .market import Market, PrefList, StableSet, ground_truth_prefs
-
-
-def stable_baselines(market: Market, stable_set: StableSet) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Per-agent means of the best and worst stable partners."""
-    opt = tuple(
-        market.agent_means[a][stable_set.best_partner[a]] for a in range(market.n)
-    )
-    pess = tuple(
-        market.agent_means[a][stable_set.worst_partner[a]] for a in range(market.n)
-    )
-    return opt, pess
 
 
 @dataclass(frozen=True)
@@ -170,14 +160,26 @@ class InvalidityCounter:
 
 SERIES_KINDS = ("optimal", "pessimal", "pseudo_optimal", "pseudo_pessimal")
 
+# the events a replication counts, summed over replications into
+# summary.json["invariants"]
+INVARIANTS = (
+    "collision_rounds",
+    "vprime_subset_violations",
+    "vprime_size_violations",
+    "gamma_zero_rounds",
+    "certain_gamma_violations",
+    "consecutive_abstentions",
+    "empty_candidate_anomalies",
+)
+
 
 class RunRecorder:
     """Aggregates one replication: regret series, invariants, logs.
 
-    Checks every round: the vacancy set is contained in the hiring-change
-    set, at least m-n firms are vacant, at most one application per firm
-    when `expect_no_collisions`, gamma stays 1 in certain mode, and no firm
-    abstains twice in a row.
+    Checks every round, adding each failure to ``events``: the vacancy set
+    is contained in the hiring-change set, at least m-n firms are vacant, at
+    most one application per firm when `expect_no_collisions`, gamma stays 1
+    in certain mode, and no firm abstains twice in a row.
     """
 
     def __init__(
@@ -189,6 +191,7 @@ class RunRecorder:
         expect_no_collisions: bool = False,
         certain_firms: bool = False,
         retain_rounds: Optional[Sequence[int]] = None,
+        events: Optional[Counter] = None,
     ):
         self.market = market
         n = market.n
@@ -202,15 +205,9 @@ class RunRecorder:
         self._cum_pseudo_pess = [0.0] * n
         self._base_opt = tuple(baseline_opt)
         self._base_pess = tuple(baseline_pess)
-        self.rounds_seen = 0
         self.expect_no_collisions = expect_no_collisions
         self.certain_firms = certain_firms
-        self.collision_rounds = 0
-        self.vprime_subset_violations = 0
-        self.vprime_size_violations = 0
-        self.gamma_zero_rounds = 0
-        self.certain_gamma_violations = 0
-        self.consecutive_abstentions = 0
+        self.events = Counter() if events is None else events
         self._prev_gamma: Sequence[int] = (1,) * market.m
         self._prev_pool: Sequence[int] = (0,) * market.m
         self.outcomes: Optional[list[RoundOutcome]] = None
@@ -220,7 +217,6 @@ class RunRecorder:
         return self
 
     def __call__(self, outcome: RoundOutcome) -> None:
-        self.rounds_seen += 1
         market = self.market
         co, cp = self._cum_opt, self._cum_pess
         cpo, cpp = self._cum_pseudo_opt, self._cum_pseudo_pess
@@ -236,10 +232,11 @@ class RunRecorder:
         if self._retain is None or t in self._retain:
             self._stored[t] = (tuple(co), tuple(cp), tuple(cpo), tuple(cpp))
 
+        events = self.events
         if not outcome.vprime <= outcome.v:
-            self.vprime_subset_violations += 1
+            events["vprime_subset_violations"] += 1
         if len(outcome.vprime) < market.m - market.n:
-            self.vprime_size_violations += 1
+            events["vprime_size_violations"] += 1
         # pool sizes matter only for collisions and for abstaining firms: a
         # previous round's sizes are read only where it had a gamma of 0
         gamma = outcome.gamma
@@ -249,15 +246,15 @@ class RunRecorder:
                 for f in apps:
                     pool_sizes[f] += 1
             if self.expect_no_collisions and max(pool_sizes) > 1:
-                self.collision_rounds += 1
+                events["collision_rounds"] += 1
             prev_gamma, prev_pool = self._prev_gamma, self._prev_pool
             for f, g in enumerate(gamma):
                 if g == 0:
-                    self.gamma_zero_rounds += 1
+                    events["gamma_zero_rounds"] += 1
                     if self.certain_firms:
-                        self.certain_gamma_violations += 1
+                        events["certain_gamma_violations"] += 1
                     if prev_gamma[f] == 0 and prev_pool[f] > 0 and pool_sizes[f] > 0:
-                        self.consecutive_abstentions += 1
+                        events["consecutive_abstentions"] += 1
             self._prev_pool = pool_sizes
         self._prev_gamma = gamma
         if self.outcomes is not None:
@@ -266,18 +263,3 @@ class RunRecorder:
     # -- results -----------------------------------------------------------
     def stored_rows(self) -> dict[int, tuple]:
         return dict(self._stored)
-
-    def _series(self, slot: int) -> np.ndarray:
-        return np.asarray([self._stored[t][slot] for t in sorted(self._stored)])
-
-    def optimal_series(self) -> np.ndarray:
-        return self._series(0)
-
-    def pessimal_series(self) -> np.ndarray:
-        return self._series(1)
-
-    def pseudo_optimal_series(self) -> np.ndarray:
-        return self._series(2)
-
-    def pseudo_pessimal_series(self) -> np.ndarray:
-        return self._series(3)

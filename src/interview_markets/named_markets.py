@@ -1,9 +1,8 @@
 """Catalog of small benchmark markets with known stable structure.
 
 Each entry is purely ordinal; means embed the orders on an evenly spaced
-grid in [0.1, 0.9] (top choice highest). The k3 and multappl entries share
-the same 2x2 cyclic market; they are listed separately because experiments
-seed them differently.
+grid in [0.1, 0.9] (top choice highest). ``multappl`` is another name for
+the ``k3`` market, under which the paired-application experiments run.
 """
 
 from __future__ import annotations
@@ -41,12 +40,8 @@ _TABLES: dict[str, tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...
         ((0, 1), (1, 0)),
         ((1, 0), (0, 1)),
     ),
-    # same market as k3; used for the paired-application experiments
-    "multappl": (
-        ((0, 1), (1, 0)),
-        ((1, 0), (0, 1)),
-    ),
 }
+_TABLES["multappl"] = _TABLES["k3"]
 
 EXAMPLE_NAMES = tuple(sorted(_TABLES))
 

@@ -13,6 +13,7 @@ import json
 import multiprocessing
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -33,7 +34,7 @@ from .estimation import EstimatorState, OracleEstimator
 from .firms import StrategicFirmPolicy
 from .hinted import run_hinted
 from .market import Market, gale_shapley, ground_truth_prefs, market_to_dict
-from .metrics import RunRecorder, SERIES_KINDS, plateau_from_values
+from .metrics import INVARIANTS, RunRecorder, SERIES_KINDS, plateau_from_values
 
 ENV_OUT_DIR = "INTERVIEW_MARKETS_OUT"
 
@@ -80,28 +81,24 @@ class RepOutput:
     rows: dict[int, tuple]  # t -> (opt, pess, pseudo_opt, pseudo_pess) tuples
     converged_round: Optional[int]
     final_matching: tuple
-    gamma_zero_rounds: int = 0
-    collision_rounds: int = 0
-    vprime_subset_violations: int = 0
-    vprime_size_violations: int = 0
-    certain_gamma_violations: int = 0
-    consecutive_abstentions: int = 0
-    anomalies: int = 0
+    events: dict[str, int]  # every name in INVARIANTS -> its count
     phase_log: list = field(default_factory=list)
     round_log: list = field(default_factory=list)
     firm_log: list = field(default_factory=list)
 
 
-def _market_policy(config: ExperimentConfig, market: Market, agent_est, firm_est, policy_rng):
+def _market_policy(
+    config: ExperimentConfig, market: Market, agent_est, firm_est, policy_rng, events
+):
     n, m = market.n, market.m
     if config.algorithm == "cia":
         return CentralAllocator(n, m, agent_est, firm_est)
     if config.algorithm == "drr":
         return CoordinatedPolicy(n, m, agent_est)
     if config.algorithm == "ancdrr":
-        return CoordinationFreePolicy(n, m, agent_est)
+        return CoordinationFreePolicy(n, m, agent_est, events)
     if config.algorithm == "eancdrr":
-        return ExtendedCoordinationFreePolicy(n, m, agent_est, config.lam, policy_rng)
+        return ExtendedCoordinationFreePolicy(n, m, agent_est, config.lam, policy_rng, events)
     raise ConfigError(f"not a market algorithm: {config.algorithm}")
 
 
@@ -119,7 +116,8 @@ def run_market_replication(
         if config.firm_mode == "certain"
         else EstimatorState(m, n)
     )
-    policy = _market_policy(config, market, agent_est, firm_est, policy_rng)
+    events = Counter()  # the replication's invariant events, from policy and recorder
+    policy = _market_policy(config, market, agent_est, firm_est, policy_rng, events)
     firm_policy = StrategicFirmPolicy(n, m, config.firm_mode)
     base_opt, base_pess = market_baselines(market)
     retain = checkpoint_rounds(config.horizon, config.stride)
@@ -131,6 +129,7 @@ def run_market_replication(
         expect_no_collisions=config.algorithm == "cia",
         certain_firms=config.firm_mode == "certain",
         retain_rounds=retain,
+        events=events,
     )
     if config.log_rounds:
         recorder.keep_outcomes()
@@ -151,15 +150,8 @@ def run_market_replication(
         rows=recorder.stored_rows(),
         converged_round=result.converged_round,
         final_matching=result.final_matching.agent_match,
-        gamma_zero_rounds=recorder.gamma_zero_rounds,
-        collision_rounds=recorder.collision_rounds,
-        vprime_subset_violations=recorder.vprime_subset_violations,
-        vprime_size_violations=recorder.vprime_size_violations,
-        certain_gamma_violations=recorder.certain_gamma_violations,
-        consecutive_abstentions=recorder.consecutive_abstentions,
+        events={name: events[name] for name in INVARIANTS},
     )
-    if hasattr(policy, "empty_candidate_anomalies"):
-        out.anomalies = policy.empty_candidate_anomalies
     if hasattr(policy, "phase_log"):
         out.phase_log = list(policy.phase_log)
     if config.log_rounds and recorder.outcomes is not None:
@@ -443,13 +435,7 @@ def _run_market_experiment(config: ExperimentConfig, out: Path, workers: int) ->
             "late_starts": late_phase_starts,
         },
         "invariants": {
-            "collision_rounds": sum(r.collision_rounds for r in reps),
-            "vprime_subset_violations": sum(r.vprime_subset_violations for r in reps),
-            "vprime_size_violations": sum(r.vprime_size_violations for r in reps),
-            "certain_gamma_violations": sum(r.certain_gamma_violations for r in reps),
-            "consecutive_abstentions": sum(r.consecutive_abstentions for r in reps),
-            "gamma_zero_rounds": sum(r.gamma_zero_rounds for r in reps),
-            "empty_candidate_anomalies": sum(r.anomalies for r in reps),
+            **{name: sum(r.events[name] for r in reps) for name in INVARIANTS},
             "imperfect_commits": imperfect_commits,
         },
     }

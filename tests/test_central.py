@@ -5,8 +5,9 @@ from interview_markets.engine import run_horizon
 from interview_markets.estimation import EstimatorState, OracleEstimator
 from interview_markets.firms import StrategicFirmPolicy
 from interview_markets.market import enumerate_stable_matchings
-from interview_markets.metrics import RunRecorder, stable_baselines
+from interview_markets.metrics import RunRecorder
 from interview_markets.named_markets import named_example
+from interview_markets.runner import market_baselines
 
 
 class TestRoundRobinFirm:
@@ -62,7 +63,7 @@ class TestAllocatorRuns:
             agent_est = EstimatorState(3, 3)
             firm_est = EstimatorState(3, 3)
             policy = CentralAllocator(3, 3, agent_est, firm_est)
-            base = stable_baselines(market, enumerate_stable_matchings(market))
+            base = market_baselines(market)
             recorder = RunRecorder(
                 market, base[0], base[1], 2000,
                 expect_no_collisions=True, retain_rounds=[2000],
@@ -71,7 +72,7 @@ class TestAllocatorRuns:
                 market, agent_est, firm_est, policy,
                 StrategicFirmPolicy(3, 3, "uncertain"), 2000, random.Random(seed), recorder,
             )
-            assert recorder.collision_rounds == 0
+            assert recorder.events["collision_rounds"] == 0
 
     def test_oracle_firms_reach_stable_matching_fast(self):
         market = named_example("coordfgs", reward_kind="point")

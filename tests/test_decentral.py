@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from interview_markets.decentral import (
-    AgentState,
+    AncdrrState,
     CoordinatedPolicy,
     CoordinationFreePolicy,
     ExtendedCoordinationFreePolicy,
@@ -13,7 +13,7 @@ from interview_markets.decentral import (
     drr_candidate_set,
 )
 from interview_markets.engine import AgentFeedback, run_horizon
-from interview_markets.errors import ParameterError, ProtocolError
+from interview_markets.errors import ParameterError
 from interview_markets.estimation import EstimatorState, OracleEstimator
 from interview_markets.firms import StrategicFirmPolicy
 from interview_markets.market import (
@@ -22,8 +22,9 @@ from interview_markets.market import (
     enumerate_stable_matchings,
     ground_truth_prefs,
 )
-from interview_markets.metrics import RunRecorder, stable_baselines
+from interview_markets.metrics import RunRecorder
 from interview_markets.named_markets import named_example
+from interview_markets.runner import market_baselines
 
 
 class FixedRandom:
@@ -44,38 +45,24 @@ def feedback(t, vprime, v, applications, matches):
 
 class TestDrrCandidateSet:
     def test_excludes_in_phase_rejections(self):
-        st = AgentState(2)
-        st.t_gs = 10
-        st.r = [12, 3]
-        assert drr_candidate_set(st) == (1,)
+        assert drr_candidate_set([12, 3], 10, 13, 0) == (1,)
 
     def test_fresh_phase_includes_all(self):
-        st = AgentState(3)
-        st.t_gs = 5
-        assert drr_candidate_set(st) == (0, 1, 2)
+        assert drr_candidate_set([0, 0, 0], 5, 5, 0) == (0, 1, 2)
 
     def test_single_in_phase_rejection(self):
-        st = AgentState(3)
-        st.t_gs = 5
-        st.r = [6, 0, 0]
-        assert drr_candidate_set(st) == (1, 2)
+        assert drr_candidate_set([6, 0, 0], 5, 7, 0) == (1, 2)
 
 
 class TestAncdrrCandidateSet:
     def test_reopened_firm_is_candidate(self):
-        st = AgentState(2)
-        st.r = [5, 0]
-        st.reopened = [True, False]
-        assert ancdrr_candidate_set(st) == (0, 1)
+        assert ancdrr_candidate_set(AncdrrState([5, 0], [True, False])) == (0, 1)
 
     def test_closed_firm_excluded(self):
-        st = AgentState(2)
-        st.r = [5, 0]
-        st.reopened = [False, False]
-        assert ancdrr_candidate_set(st) == (1,)
+        assert ancdrr_candidate_set(AncdrrState([5, 0], [False, False])) == (1,)
 
     def test_round_one_has_all_firms(self):
-        assert ancdrr_candidate_set(AgentState(3)) == (0, 1, 2)
+        assert ancdrr_candidate_set(AncdrrState([0] * 3, [False] * 3)) == (0, 1, 2)
 
 
 class TestAncdrrScan:
@@ -115,7 +102,7 @@ class TestAncdrrScan:
                     assert plan.interviews[0] == est.argmax(i, cand)
                 else:
                     empty += 1
-            assert policy.empty_candidate_anomalies == empty
+            assert policy.events["empty_candidate_anomalies"] == empty
 
 
 class TestCoordinatedPhases:
@@ -133,7 +120,7 @@ class TestCoordinatedPhases:
         )
         policy = CoordinatedPolicy(n, m, agent_est)
         firm_policy = StrategicFirmPolicy(n, m, firm_mode)
-        base_opt, base_pess = stable_baselines(market, enumerate_stable_matchings(market))
+        base_opt, base_pess = market_baselines(market)
         recorder = RunRecorder(
             market, base_opt, base_pess, T, certain_firms=firm_mode == "certain",
             retain_rounds=[T],
@@ -151,23 +138,39 @@ class TestCoordinatedPhases:
         assert result.converged_round is not None
         assert result.final_matching.agent_match == (0, 1)
 
-    def test_every_commit_is_perfect_and_top_n(self):
+    def test_every_commit_is_perfect_and_top_n(self, monkeypatch):
+        # every agent commits to one of the top n firms of its t_gs snapshot;
+        # each phase takes one snapshot per agent, in agent order
+        snapshots = []
+        take = EstimatorState.snapshot_row
+
+        def spy(est, owner):
+            snapshots.append(take(est, owner))
+            return snapshots[-1]
+
+        monkeypatch.setattr(EstimatorState, "snapshot_row", spy)
         market = named_example("coordfgs")
+        n = market.n
         for seed in range(8):
+            snapshots.clear()
             policy, recorder, result, _ = self.run_drr(market, 4000, seed)
-            for entry in policy.phase_log:
+            for k, entry in enumerate(policy.phase_log):
                 profile = entry["committed"]
                 if profile is None:
                     continue
                 assert None not in profile
                 assert len(set(profile)) == len(profile)
-                assert entry["committed_in_top_n"]
+                rows = snapshots[k * n:(k + 1) * n]
+                assert len(rows) == n
+                for f, row in zip(profile, rows):
+                    order = sorted(range(len(row)), key=lambda j: (row[j][0] > 0, -row[j][1], j))
+                    assert f in order[:n]
 
     def test_no_consecutive_abstentions(self):
         market = named_example("coordfgs")
         for seed in range(6):
             _, recorder, _, _ = self.run_drr(market, 4000, seed)
-            assert recorder.consecutive_abstentions == 0
+            assert recorder.events["consecutive_abstentions"] == 0
 
     def test_converged_run_commits_stable_matching(self):
         market = named_example("coordfgs")
@@ -181,14 +184,6 @@ class TestCoordinatedPhases:
                 continue  # lists not fully learned; nothing to check
             committed = Matching(tuple(last_phase["committed"]), market.m)
             assert blocking_pairs(committed, agent_prefs, firm_prefs) == []
-
-    def test_desync_is_detected(self):
-        market = named_example("coordfgs")
-        agent_est = EstimatorState(3, 3)
-        policy = CoordinatedPolicy(3, 3, agent_est)
-        policy.states[1].t_gs = 99
-        with pytest.raises(ProtocolError, match="desynchronized"):
-            policy.plan(1)
 
 
 class TestCoordinatedTriggers:
@@ -211,7 +206,7 @@ class TestCoordinatedTriggers:
             vprime = {f for f in range(2) if f not in holds}
             policy.observe(t, feedback(t, vprime, vprime, apps, matches))
             t += 1
-        assert policy.states[0].rho == 1
+        assert policy.rho == 1
         return policy, t
 
     def test_vacancy_signal_starts_new_phase(self):
@@ -223,7 +218,7 @@ class TestCoordinatedTriggers:
         assert len(policy.phase_log) == 2
         assert policy.phase_log[-1]["t_gs"] == t + 1
         assert policy.phase_log[-1]["triggers"] == "vac"
-        assert all(st.rho == 0 for st in policy.states)
+        assert policy.rho == 0
 
     def test_strategic_rejection_flag_triggers_abstain(self):
         policy, t = self.make_committed_policy()
@@ -328,7 +323,7 @@ class TestAncdrrCycle:
         policy.states[0].prev_apply = 1
         plans = policy.plan(5)
         assert plans[0].applications == (1,)
-        assert policy.empty_candidate_anomalies == 1
+        assert policy.events["empty_candidate_anomalies"] == 1
 
 
 class TestExtended:

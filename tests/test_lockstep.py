@@ -14,6 +14,7 @@ from interview_markets.config import ExperimentConfig, config_from_dict
 from interview_markets.errors import ProtocolError
 from interview_markets.lockstep import run_cia_block, run_drr_block
 from interview_markets.market import Market, RewardModel
+from interview_markets.metrics import INVARIANTS
 from interview_markets.named_markets import named_example
 from interview_markets.runner import run_experiment, run_market_replication
 
@@ -75,13 +76,11 @@ def test_outputs_are_python_values(algorithm):
         assert type(out.converged_round) is int
         assert all(type(f) is int for f in out.final_matching)
         assert all(type(x) is float for row in out.rows.values() for kind in row for x in kind)
-        assert all(type(getattr(out, name)) is int for name in (
-            "collision_rounds", "vprime_size_violations", "gamma_zero_rounds",
-            "consecutive_abstentions", "certain_gamma_violations"))
+        assert list(out.events) == list(INVARIANTS)
+        assert all(type(count) is int for count in out.events.values())
         for entry in out.phase_log:
             assert type(entry["index"]) is int and type(entry["t_gs"]) is int
             assert all(type(f) is int for f in entry["committed"] or [])
-            assert type(entry.get("committed_in_top_n", False)) is bool
         assert bool(out.phase_log) == (algorithm == "drr")
         json.dumps(asdict(out))
 
@@ -92,16 +91,22 @@ def test_unmatched_agent_is_a_protocol_error(monkeypatch):
         run_cia_block(block_config(), named_example("coordfgs"), range(2))
 
 
-def test_empty_candidate_set_is_a_protocol_error(monkeypatch):
+@pytest.mark.parametrize("engine, where", [
+    (lambda config, market: run_drr_block(config, market, range(1, 3)), "replication 1: "),
+    (lambda config, market: run_market_replication(config, market, 1), ""),
+], ids=["lockstep", "scalar"])
+def test_empty_candidate_set_is_a_protocol_error(monkeypatch, engine, where):
     # With m >= n a drr agent always keeps a candidate firm, so this takes a
     # market of two agents and one firm, which Market itself would reject:
     # the firm hires agent 0 in round 1, and agent 1 has no firm left.
     market = SimpleNamespace(n=2, m=1, agent_means=((0.5,), (0.4,)),
                              firm_means=((0.5, 0.4),), reward_model=RewardModel())
-    monkeypatch.setattr(lockstep, "market_baselines", lambda market: ((0.5, 0.4), (0.5, 0.4)))
+    for module in (lockstep, runner):
+        monkeypatch.setattr(module, "market_baselines", lambda market: ((0.5, 0.4), (0.5, 0.4)))
     config = block_config(algorithm="drr", firm_mode="certain")
-    with pytest.raises(ProtocolError, match="round 2: replication 1: agent 1 has an empty"):
-        run_drr_block(config, market, range(1, 3))
+    message = f"round 2: {where}agent 1 has an empty candidate set in coordinated phase"
+    with pytest.raises(ProtocolError, match=message):
+        engine(config, market)
 
 
 def _raw(**overrides):

@@ -23,7 +23,7 @@ from interview_markets.market import (
     sample_reward,
     save_market,
 )
-from interview_markets.named_markets import named_example
+from interview_markets.named_markets import EXAMPLE_NAMES, named_example
 
 
 def brute_force_blocking(matching, agent_prefs, firm_prefs):
@@ -323,3 +323,8 @@ class TestMarketFile:
     def test_bad_length_rejected(self):
         with pytest.raises(MarketError):
             market_from_dict({"n": 2, "m": 2, "agent_means": [0.1], "firm_means": [0.1]})
+
+
+def test_multappl_is_the_k3_market():
+    assert "multappl" in EXAMPLE_NAMES
+    assert named_example("multappl") == named_example("k3")

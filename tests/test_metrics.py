@@ -24,13 +24,14 @@ from interview_markets.metrics import (
     count_invalid_rounds,
     gap_table,
     plateau_ratio,
-    stable_baselines,
 )
 from interview_markets.named_markets import named_example
+from interview_markets.runner import market_baselines
 
 
 def record_rewards(base_opt, base_pess, rewards, firm=0):
-    """A one-agent RunRecorder fed one round per reward, matched to ``firm``."""
+    """The series of a one-agent RunRecorder fed one round per reward, matched
+    to ``firm``, as an array (round, kind in SERIES_KINDS order, agent)."""
     market = Market(((0.9, 0.5),), ((0.5,), (0.4,)))
     recorder = RunRecorder(market, (base_opt,), (base_pess,), len(rewards))
     vacant = frozenset({0, 1}) - {firm}
@@ -38,30 +39,30 @@ def record_rewards(base_opt, base_pess, rewards, firm=0):
         apps = ((0,),) if firm is not None else ((),)
         recorder(RoundOutcome(t, ((0, 1),), apps, (1, 1), Matching((firm,), 2), (x,),
                               vacant, vacant))
-    return recorder
+    rows = recorder.stored_rows()
+    return np.array([rows[t] for t in sorted(rows)])
 
 
 class TestRegretSeries:
     def test_matched_to_baseline_point_mass_is_zero(self):
         series = record_rewards(0.9, 0.9, [0.9] * 10)
-        assert series.optimal_series()[-1, 0] == pytest.approx(0.0)
+        assert series[-1, 0, 0] == pytest.approx(0.0)
 
     def test_never_matched(self):
         series = record_rewards(0.9, 0.5, [0.0] * 10, firm=None)
-        assert series.optimal_series()[-1, 0] == pytest.approx(9.0)
-        assert series.pseudo_optimal_series()[-1, 0] == pytest.approx(9.0)
+        assert series[-1, 0, 0] == pytest.approx(9.0)
+        assert series[-1, 2, 0] == pytest.approx(9.0)  # pseudo optimal
 
     def test_pessimal_increment_can_go_negative(self):
         series = record_rewards(0.9, 0.5, [0.8])
-        assert series.pessimal_series()[-1, 0] == pytest.approx(-0.3)
+        assert series[-1, 1, 0] == pytest.approx(-0.3)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=50))
     def test_decomposition_identity(self, rewards):
         base_opt, base_pess = 0.8, 0.55
         series = record_rewards(base_opt, base_pess, rewards)
-        opt = series.optimal_series()[:, 0]
-        pess = series.pessimal_series()[:, 0]
+        opt, pess = series[:, 0, 0], series[:, 1, 0]
         t = np.arange(1, len(rewards) + 1)
         assert np.allclose(opt - pess, t * (base_opt - base_pess))
 
@@ -254,12 +255,12 @@ class TestRunRecorderCounters:
         for out in outcomes:
             recorder(out)
         expected = reference_counters(outcomes, n, m, expect_no_collisions, certain)
-        assert {name: getattr(recorder, name) for name in COUNTERS} == expected
-        assert recorder.rounds_seen == len(outcomes)
+        assert {name: recorder.events[name] for name in COUNTERS} == expected
+        assert len(recorder.stored_rows()) == len(outcomes)
 
 
 class TestBaselines:
     def test_unique_market_series_identical(self):
         market = named_example("coordfgs")
-        base_opt, base_pess = stable_baselines(market, enumerate_stable_matchings(market))
+        base_opt, base_pess = market_baselines(market)
         assert base_opt == base_pess
