@@ -23,7 +23,8 @@ Schema (all unknown keys rejected)::
 
 Generator params: n, m, min_gap, alpha_reducible (bool), reward_kind, sigma,
 market_seed (defaults to base_seed). They must be feasible:
-``1 <= n <= m`` and ``0 < min_gap`` with ``min_gap * m < 1``.
+``1 <= n <= m`` and ``0 < min_gap`` with ``min_gap * m < 1``. A Gaussian
+reward model, from the generator or with arms, needs ``sigma > 0``.
 
 Integer fields take JSON numbers without a fractional part, real fields
 (``min_gap``, ``sigma``, ``lambda``, ``epsilon``, arms) only finite JSON
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, MarketError
 from .market import (
     Market,
     REWARD_KINDS,
@@ -182,6 +183,14 @@ def _bool(fieldname: str, value) -> bool:
     return value
 
 
+def _check_reward_model(fieldname: str, kind: str, sigma: float) -> None:
+    """Check ``sigma`` with ``RewardModel``'s own rule, naming the field."""
+    try:
+        RewardModel(kind, sigma)
+    except MarketError as exc:
+        _fail(fieldname, str(exc))
+
+
 def config_from_dict(raw: dict, base_dir: Optional[Path] = None) -> ExperimentConfig:
     unknown = set(raw) - _TOP_KEYS
     if unknown:
@@ -246,11 +255,11 @@ def config_from_dict(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCo
             )
         except KeyError as exc:
             _fail(f"market.generator.{exc.args[0]}", "missing required field")
-        if market_generator.reward_kind not in REWARD_KINDS:
+        g = market_generator
+        if g.reward_kind not in REWARD_KINDS:
             _fail("market.generator.reward_kind", f"must be one of {', '.join(REWARD_KINDS)}")
-        error = generator_param_error(
-            market_generator.n, market_generator.m, market_generator.min_gap
-        )
+        _check_reward_model("market.generator.sigma", g.reward_kind, g.sigma)
+        error = generator_param_error(g.n, g.m, g.min_gap)
         if error is not None:
             _fail(f"market.generator.{error[0]}", error[1])
     elif source_kind == "arms":
@@ -312,6 +321,8 @@ def config_from_dict(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCo
     reward_kind = raw.get("reward_kind", "bernoulli")
     if reward_kind not in REWARD_KINDS:
         _fail("reward_kind", f"must be one of {', '.join(REWARD_KINDS)}")
+    sigma = _float("sigma", raw.get("sigma", 0.1))
+    _check_reward_model("sigma", reward_kind, sigma)
     out_dir = raw.get("out_dir")
     if "out_dir" in raw and (not isinstance(out_dir, str) or not out_dir):
         _fail("out_dir", f"must be a non-empty string, got {out_dir!r}")
@@ -330,7 +341,7 @@ def config_from_dict(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCo
         epsilon=epsilon,
         target_rank=target_rank,
         reward_kind=reward_kind,
-        sigma=_float("sigma", raw.get("sigma", 0.1)),
+        sigma=sigma,
         out_dir=out_dir,
         stride=stride,
         log_rounds=_bool("log_rounds", raw.get("log_rounds", False)),

@@ -26,7 +26,7 @@ from typing import Optional
 
 from .engine import AgentFeedback, AgentPlan
 from .errors import ParameterError, ProtocolError
-from .estimation import argmax_snapshot
+from .estimation import first_in
 from .central import round_robin_firm
 
 
@@ -36,7 +36,7 @@ class DrrState:
 
     r: list[int]  # round of the last rejection by each firm, 0 = never
     rej_flag: bool = False  # own applied firm went vacant since t_gs
-    snapshot: Optional[list] = None  # (count, mean) rows frozen at t_gs
+    snapshot: Optional[tuple[int, ...]] = None  # its pref_list at t_gs
     frozen_candidates: Optional[tuple[int, ...]] = None
     committed: Optional[int] = None
     trigger: Optional[str] = None  # "rej" or "inc" once it abstains to signal
@@ -127,7 +127,7 @@ class CoordinatedPolicy:
                 if st.snapshot is None:  # a phase's states start without one
                     st.snapshot = self.agent_est.snapshot_row(i)
                 cand = drr_candidate_set(st.r, t_gs, t, i)
-                target = argmax_snapshot(st.snapshot, cand)
+                target = first_in(st.snapshot, cand)
                 if t == commit_round:
                     st.committed = target
                     st.frozen_candidates = cand

@@ -1,12 +1,16 @@
 """Empirical-mean estimators, estimated preference lists, validity diagnostics.
 
 Estimated lists order never-observed peers first (optimistic), then by
-decreasing empirical mean, breaking ties by ascending peer index. Each owner
-keeps its peers' keys in that order as observations arrive: ``record``
-bisects for the old and new slot of the one peer whose mean changed and
-moves only that peer, so the order is maintained on ``record``, never
-re-sorted on read. ``argmax`` over a candidate set is the first candidate in
-that same order, so a list's head and the selection rule never disagree.
+decreasing empirical mean, breaking ties by ascending peer index: the key
+``_sort_key``. Each owner keeps its peers' keys in that order as
+observations arrive: ``record`` bisects for the old and new slot of the one
+peer whose mean changed and moves only that peer, so the order is maintained
+on ``record``, never re-sorted on read. The oracle's lists are
+``market.rank_order`` of the true means, the same rule with every peer
+observed. The best of a candidate set is ``first_in`` the owner's list, so a
+list's head and the selection rule never disagree. ``pref_list`` returns an
+immutable tuple that ``record`` replaces rather than edits, so a list kept
+from an earlier round (``snapshot_row``) is that round's order.
 """
 
 from __future__ import annotations
@@ -14,15 +18,23 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Sequence
 
 from .errors import ObservationError
-from .market import PrefList
+from .market import PrefList, rank_order
 
 
 def _sort_key(count: float, mean: float, index: int) -> tuple[int, float, int]:
     # unobserved first, then decreasing mean, then ascending index
     return (1, -mean, index) if count > 0 else (0, 0.0, index)
+
+
+def first_in(order: PrefList, candidates: Collection[int]) -> int:
+    """The first peer of ``order`` among ``candidates``: the best candidate."""
+    for j in order:
+        if j in candidates:
+            return j
+    raise ValueError(f"no candidate among {len(order)} peers: {candidates!r}")
 
 
 class EstimatorState:
@@ -80,17 +92,11 @@ class EstimatorState:
 
     def argmax(self, owner: int, candidates: Collection[int]) -> int:
         """Best peer among candidates under the estimated order."""
-        for key in self._keys[owner]:
-            if key[2] in candidates:
-                return key[2]
-        raise ValueError(f"no candidate among {self.cols} peers: {candidates!r}")
+        return first_in(self.pref_list(owner), candidates)
 
-    def snapshot_row(self, owner: int) -> list[tuple[int, float]]:
-        """Frozen (count, mean) pairs for later ranking decisions."""
-        return [
-            (c, s / c if c else 0.0)
-            for c, s in zip(self.counts[owner], self.sums[owner])
-        ]
+    def snapshot_row(self, owner: int) -> PrefList:
+        """The owner's current order, which later records leave as it is."""
+        return self.pref_list(owner)
 
 
 class OracleEstimator:
@@ -102,10 +108,7 @@ class OracleEstimator:
         self._means = [list(row) for row in true_means]
         self.rows = len(self._means)
         self.cols = len(self._means[0]) if self._means else 0
-        self._lists = [
-            tuple(sorted(range(self.cols), key=lambda j: (-row[j], j)))
-            for row in self._means
-        ]
+        self._lists = [rank_order(row) for row in self._means]
 
     def record(self, owner: int, peer: int, value: float) -> "OracleEstimator":
         return self  # ground truth never moves
@@ -119,20 +122,11 @@ class OracleEstimator:
     def pref_list(self, owner: int) -> PrefList:
         return self._lists[owner]
 
-    def argmax(self, owner: int, candidates: Iterable[int]) -> int:
-        row = self._means[owner]
-        return min(candidates, key=lambda j: (-row[j], j))
+    def argmax(self, owner: int, candidates: Collection[int]) -> int:
+        return first_in(self.pref_list(owner), candidates)
 
-    def snapshot_row(self, owner: int) -> list[tuple[float, float]]:
-        return [(math.inf, u) for u in self._means[owner]]
-
-
-def argmax_snapshot(snapshot: Sequence[tuple[float, float]], candidates: Iterable[int]) -> int:
-    """Best candidate under a frozen (count, mean) row."""
-    return min(
-        candidates,
-        key=lambda j: _sort_key(snapshot[j][0], snapshot[j][1], j),
-    )
+    def snapshot_row(self, owner: int) -> PrefList:
+        return self.pref_list(owner)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .market import RewardModel, draw_reward
+from .market import RewardModel, draw_reward, rank_order
 
 
 @dataclass
@@ -34,22 +34,14 @@ class ArmState:
         self.mean += delta / self.count
         self.m2 += delta * (x - self.mean)
 
-    @property
-    def variance(self) -> float:
-        return self.m2 / self.count if self.count else 0.0
-
-
-def ucb_prime(arm: ArmState, epsilon: float) -> float:
-    """Mean plus epsilon times population variance; needs at least one pull."""
-    if arm.count == 0:
-        raise ParameterError("index undefined for an unobserved arm")
-    return arm.mean + epsilon * arm.variance
-
 
 def _ranked(arms: Sequence[ArmState], epsilon: Optional[float]) -> list[int]:
     """Arm indices best-first; unobserved arms rank first, ties by index.
 
-    ``epsilon=None`` ranks by empirical mean alone.
+    Ranks by the UCB' index, mean plus ``epsilon`` times the population
+    variance, or by the empirical mean alone when ``epsilon`` is None. The
+    keys are ``estimation._sort_key``'s, written inline: this runs every
+    bandit step.
     """
     keys = []
     for j, arm in enumerate(arms):
@@ -57,7 +49,7 @@ def _ranked(arms: Sequence[ArmState], epsilon: Optional[float]) -> list[int]:
             keys.append((0, 0.0, j))
         elif epsilon is None:
             keys.append((1, -arm.mean, j))
-        else:  # ucb_prime's index
+        else:
             keys.append((1, -(arm.mean + epsilon * (arm.m2 / arm.count)), j))
     keys.sort()
     return [key[2] for key in keys]
@@ -205,9 +197,8 @@ def run_hinted(
         raise ParameterError(f"horizon must be >= 1, got {T}")
     bandit = HintedBandit(tuple(means), model, epsilon)
     m = len(means)
-    target_sorted = sorted(range(m), key=lambda j: (-means[j], j))
     rank = target_rank if algorithm == "eap" else 1
-    regret_target = means[target_sorted[rank - 1]]
+    regret_target = means[rank_order(means)[rank - 1]]
     cum = np.empty(T)
     pulls = np.zeros(m, dtype=np.int64)
     last_quarter = np.zeros(m, dtype=np.int64)

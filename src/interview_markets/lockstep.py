@@ -13,8 +13,12 @@ Every replication's :class:`RepOutput` equals the one
   agent-side draw and then, for uncertain firms, the firm-side draw; after
   those, one reward draw per matched agent in index order;
 - ``cia``'s deferred acceptance is ``market._deferred_acceptance`` itself;
-- ``drr``'s agents and firms choose by ``argmin`` over ranking keys, whose
-  first-occurrence rule gives ``estimation._sort_key``'s order.
+- the ranking rule is ``estimation._sort_key`` (``market.rank_order`` for
+  certain firms) as numpy keys: a stable argsort gives a ``pref_list``, and
+  ``drr``'s masked ``argmin`` gives ``estimation.first_in`` over a candidate
+  set, its first-occurrence rule breaking ties by index;
+- convergence is ``engine.run_horizon``'s agent-perfect streak, and the
+  retained rounds are ``runner.checkpoint_rounds``.
 
 ``engine.run_horizon`` is the reference; the runner sends only Bernoulli
 ``cia`` and ``drr`` configs without per-round logs here.
@@ -31,7 +35,7 @@ import numpy as np
 from .central import round_robin_firm
 from .decentral import drr_phase_length
 from .errors import ProtocolError
-from .market import Market, _deferred_acceptance
+from .market import Market, _deferred_acceptance, rank_order
 from .metrics import INVARIANTS
 from .runner import RepOutput, checkpoint_rounds, market_baselines
 
@@ -162,7 +166,7 @@ def run_cia_block(config, market: Market, reps: Sequence[int]) -> list[RepOutput
     """Replications ``reps`` of a Bernoulli ``cia`` config, run in lockstep."""
     blk = _Block(config, market, reps)
     if not blk.uncertain:  # OracleEstimator's lists never move
-        order = np.argsort(-blk.firm_means, axis=-1, kind="stable")
+        order = [rank_order(row) for row in market.firm_means]
         f_ranks = [np.argsort(order, axis=-1).tolist()] * blk.R
 
     for t in range(1, config.horizon + 1):

@@ -141,14 +141,16 @@ class FixedPairSequence:
         return Matching(tuple(agent_match), m)
 
 
-def _rank_order(row: Sequence[float]) -> PrefList:
-    return tuple(sorted(range(len(row)), key=lambda j: -row[j]))
+def rank_order(values: Sequence[float]) -> PrefList:
+    """Indices by decreasing value, ties by ascending index (a stable sort):
+    the true preference order, and the estimated one once all is observed."""
+    return tuple(sorted(range(len(values)), key=lambda j: -values[j]))
 
 
 def ground_truth_prefs(market: Market) -> tuple[list[PrefList], list[PrefList]]:
     """Preference lists induced by the mean matrices (decreasing mean)."""
-    agent_prefs = [_rank_order(row) for row in market.agent_means]
-    firm_prefs = [_rank_order(row) for row in market.firm_means]
+    agent_prefs = [rank_order(row) for row in market.agent_means]
+    firm_prefs = [rank_order(row) for row in market.firm_means]
     return agent_prefs, firm_prefs
 
 

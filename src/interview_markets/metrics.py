@@ -1,4 +1,4 @@
-"""Regret accounting, reward gaps, convergence and validity instrumentation."""
+"""Regret accounting, reward gaps, plateau ratios and validity instrumentation."""
 
 from __future__ import annotations
 
@@ -6,10 +6,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .engine import RoundOutcome
-from .errors import ParameterError
 from .estimation import validity
 from .market import Market, PrefList, StableSet, ground_truth_prefs
 
@@ -75,29 +72,10 @@ def gap_table(market: Market, stable_set: StableSet) -> GapTable:
     )
 
 
-def convergence_round(matchings: Sequence[Sequence[Optional[int]]]) -> Optional[int]:
-    """Smallest round index (1-based) from which the matching is constant,
-    perfect on agents, and stays so through the end; None otherwise."""
-    if not matchings:
-        return None
-    final = tuple(matchings[-1])
-    if any(f is None for f in final):
-        return None
-    start = len(matchings)
-    for k in range(len(matchings) - 1, -1, -1):
-        if tuple(matchings[k]) != final:
-            break
-        start = k + 1
-    return start
-
-
 @dataclass(frozen=True)
 class PlateauResult:
     ratio: float
     zero_denominator: bool = False
-
-    def within(self, bound: float) -> bool:
-        return self.ratio <= bound
 
 
 def plateau_from_values(
@@ -110,23 +88,6 @@ def plateau_from_values(
         flat = late <= early + slack
         return PlateauResult(1.0 if flat else float("inf"), True)
     return PlateauResult(late / early, False)
-
-
-def plateau_ratio(
-    series: np.ndarray,
-    t_early: int,
-    t_late: int,
-    floor: float = 1.0,
-    slack: float = 1.0,
-) -> PlateauResult:
-    """Cumulative value at t_late over the value at t_early (1-based rounds)."""
-    if not 1 <= t_early < t_late <= len(series):
-        raise ParameterError(
-            f"need 1 <= t_early < t_late <= {len(series)}, got ({t_early}, {t_late})"
-        )
-    return plateau_from_values(
-        float(series[t_early - 1]), float(series[t_late - 1]), floor, slack
-    )
 
 
 def count_invalid_rounds(
@@ -187,7 +148,6 @@ class RunRecorder:
         market: Market,
         baseline_opt: Sequence[float],
         baseline_pess: Sequence[float],
-        T: int,
         expect_no_collisions: bool = False,
         certain_firms: bool = False,
         retain_rounds: Optional[Sequence[int]] = None,

@@ -40,20 +40,12 @@ ENV_OUT_DIR = "INTERVIEW_MARKETS_OUT"
 
 
 def checkpoint_rounds(T: int, stride: int) -> list[int]:
-    """Strided rounds plus exact decade checkpoints (and T/10, T)."""
-    marks = set(range(stride, T + 1, stride))
-    p = 1
-    while p <= T:
-        marks.add(p)
-        p *= 10
-    marks.add(T)
-    if T >= 10:
-        marks.add(T // 10)
-    marks.add(1)
-    return sorted(marks)
+    """The rounds a replication keeps: every ``stride``-th plus the summary's."""
+    return sorted(set(range(stride, T + 1, stride)).union(summary_checkpoints(T)))
 
 
 def summary_checkpoints(T: int) -> list[int]:
+    """Rounds 1, T, T // 10 and every power of ten up to T."""
     marks = {1, T}
     p = 10
     while p <= T:
@@ -125,7 +117,6 @@ def run_market_replication(
         market,
         base_opt,
         base_pess,
-        config.horizon,
         expect_no_collisions=config.algorithm == "cia",
         certain_firms=config.firm_mode == "certain",
         retain_rounds=retain,
@@ -245,7 +236,7 @@ def _map_reps(worker, jobs, workers: int):
     if workers <= 1 or len(jobs) <= 1:
         return [worker(job) for job in jobs]
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=workers) as pool:
+    with ctx.Pool(processes=min(workers, len(jobs))) as pool:
         return pool.map(worker, jobs, chunksize=1)
 
 
@@ -279,6 +270,13 @@ def _mean_stderr(values: np.ndarray) -> tuple[list, list]:
     else:
         err = np.zeros_like(mean)
     return mean.tolist(), err.tolist()
+
+
+def _plateau(mean, marks: list[int], T: int) -> dict:
+    """``plateau_from_values`` of a mean series at rounds ``T // 10`` and ``T``."""
+    early, late = mean[marks.index(max(1, T // 10))], mean[marks.index(T)]
+    res = plateau_from_values(float(early), float(late))
+    return {"ratio": res.ratio, "zero_denominator": res.zero_denominator}
 
 
 def run_experiment(
@@ -382,19 +380,10 @@ def _run_market_experiment(config: ExperimentConfig, out: Path, workers: int) ->
         series_stats[kind] = {"mean": mean, "stderr": err}
         mean_rows[kind] = np.asarray(mean)  # (marks, agents)
 
-    t_early, t_late = max(1, T // 10), T
-    ie, il = marks.index(t_early), marks.index(t_late)
-    plateaus = {}
-    for kind in ("pseudo_optimal", "pseudo_pessimal"):
-        per_agent = []
-        for a in range(n):
-            res = plateau_from_values(
-                float(mean_rows[kind][ie][a]), float(mean_rows[kind][il][a])
-            )
-            per_agent.append(
-                {"ratio": res.ratio, "zero_denominator": res.zero_denominator}
-            )
-        plateaus[kind] = per_agent
+    plateaus = {
+        kind: [_plateau(mean_rows[kind][:, a], marks, T) for a in range(n)]
+        for kind in ("pseudo_optimal", "pseudo_pessimal")
+    }
 
     converged = [r.converged_round for r in reps]
     phase_counts = [len(r.phase_log) for r in reps] if reps[0].phase_log else []
@@ -422,7 +411,7 @@ def _run_market_experiment(config: ExperimentConfig, out: Path, workers: int) ->
         "horizon": T,
         "replications": config.replications,
         "checkpoints": marks,
-        "plateau_window": [t_early, t_late],
+        "plateau_window": [max(1, T // 10), T],
         "regret": series_stats,
         "plateau": plateaus,
         "convergence": {
@@ -459,11 +448,6 @@ def _run_bandit_experiment(config: ExperimentConfig, out: Path, workers: int) ->
     marks = summary_checkpoints(T)
     values = np.array([[r.regret_at[t] for t in marks] for r in reps])
     mean, err = _mean_stderr(values)
-    t_early, t_late = max(1, T // 10), T
-    res = plateau_from_values(
-        float(np.asarray(mean)[marks.index(t_early)]),
-        float(np.asarray(mean)[marks.index(t_late)]),
-    )
     pulls = np.array([r.last_quarter_pulls for r in reps])
     top_pulled = [int(np.argmax(p)) + 1 for p in pulls]
 
@@ -475,8 +459,8 @@ def _run_bandit_experiment(config: ExperimentConfig, out: Path, workers: int) ->
         "horizon": T,
         "replications": config.replications,
         "checkpoints": marks,
-        "plateau_window": [t_early, t_late],
+        "plateau_window": [max(1, T // 10), T],
         "regret": {"mean": mean, "stderr": err},
-        "plateau": {"ratio": res.ratio, "zero_denominator": res.zero_denominator},
+        "plateau": _plateau(mean, marks, T),
         "last_quarter_top_pulled": top_pulled,
     }

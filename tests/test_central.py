@@ -65,7 +65,7 @@ class TestAllocatorRuns:
             policy = CentralAllocator(3, 3, agent_est, firm_est)
             base = market_baselines(market)
             recorder = RunRecorder(
-                market, base[0], base[1], 2000,
+                market, base[0], base[1],
                 expect_no_collisions=True, retain_rounds=[2000],
             )
             run_horizon(

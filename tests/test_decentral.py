@@ -122,7 +122,7 @@ class TestCoordinatedPhases:
         firm_policy = StrategicFirmPolicy(n, m, firm_mode)
         base_opt, base_pess = market_baselines(market)
         recorder = RunRecorder(
-            market, base_opt, base_pess, T, certain_firms=firm_mode == "certain",
+            market, base_opt, base_pess, certain_firms=firm_mode == "certain",
             retain_rounds=[T],
         )
         result = run_horizon(
@@ -139,7 +139,7 @@ class TestCoordinatedPhases:
         assert result.final_matching.agent_match == (0, 1)
 
     def test_every_commit_is_perfect_and_top_n(self, monkeypatch):
-        # every agent commits to one of the top n firms of its t_gs snapshot;
+        # every agent commits to one of the top n firms of its order at t_gs;
         # each phase takes one snapshot per agent, in agent order
         snapshots = []
         take = EstimatorState.snapshot_row
@@ -160,10 +160,9 @@ class TestCoordinatedPhases:
                     continue
                 assert None not in profile
                 assert len(set(profile)) == len(profile)
-                rows = snapshots[k * n:(k + 1) * n]
-                assert len(rows) == n
-                for f, row in zip(profile, rows):
-                    order = sorted(range(len(row)), key=lambda j: (row[j][0] > 0, -row[j][1], j))
+                orders = snapshots[k * n:(k + 1) * n]
+                assert len(orders) == n
+                for f, order in zip(profile, orders):
                     assert f in order[:n]
 
     def test_no_consecutive_abstentions(self):

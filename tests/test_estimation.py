@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interview_markets.errors import ObservationError
+from interview_markets.lockstep import _Estimates
+from interview_markets.market import rank_order
 from interview_markets.estimation import (
     EstimatorState,
     OracleEstimator,
     _sort_key,
+    first_in,
     topk_aligned,
     validity,
 )
@@ -124,6 +127,35 @@ class TestMaintainedOrder:
     def test_argmax_of_nothing_raises(self):
         with pytest.raises(ValueError):
             EstimatorState(1, 3).argmax(0, ())
+
+
+class TestOneRankingRule:
+    """The true order, both estimators and the lockstep keys rank alike."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_every_ranking_gives_one_order(self, data):
+        row = data.draw(st.lists(OBSERVATIONS, min_size=1, max_size=8), label="row")
+        cols = len(row)
+        observed = data.draw(st.lists(st.booleans(), min_size=cols, max_size=cols))
+        peers = [j for j in range(cols) if observed[j]]
+        est = EstimatorState(1, cols)
+        for j in peers:
+            est.record(0, j, row[j])
+        block = _Estimates((1, 1, cols))
+        block.record(np.array(peers, dtype=np.intp), np.array([row[j] for j in peers]))
+
+        truth = rank_order(row)  # every peer observed
+        assert OracleEstimator([row]).pref_list(0) == truth
+        unobserved = tuple(j for j in range(cols) if not observed[j])
+        order = unobserved + tuple(j for j in truth if observed[j])
+        assert est.pref_list(0) == order
+        assert tuple(block.lists()[0, 0].tolist()) == order
+
+        candidates = data.draw(st.sets(st.integers(0, cols - 1), min_size=1))
+        best = min(candidates, key=lambda j: _sort_key(int(observed[j]), row[j], j))
+        assert first_in(order, candidates) == best
+        assert first_in(truth, candidates) == min(candidates, key=lambda j: _sort_key(1, row[j], j))
 
 
 class TestValidity:

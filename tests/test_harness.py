@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interview_markets import runner
 from interview_markets.cli import main as cli_main
 from interview_markets.config import (
     _GENERATOR_KEYS,
@@ -220,6 +222,8 @@ class TestGeneratorFeasibility:
         ({"min_gap": -0.5}, "min_gap"),
         ({"m": 4, "min_gap": 0.25}, "min_gap"),  # four levels 0.25 apart do not fit in [0, 1)
         ({"n": 0, "m": 3, "min_gap": -0.5}, "n"),
+        ({"reward_kind": "gaussian", "sigma": 0}, "sigma"),
+        ({"reward_kind": "gaussian", "sigma": -0.1}, "sigma"),
     ])
     def test_infeasible_generator_is_a_config_error(self, edits, fieldname):
         raw = base_config(market={"generator": {**_GENERATOR, **edits}})
@@ -400,6 +404,22 @@ class TestNamedExamples:
             assert sorted(row) == [0.1, 0.5, 0.9]
 
 
+SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "scripts" / "configs").glob("*.json"))
+
+
+class TestShippedConfigs:
+    def test_configs_are_found(self):
+        assert SHIPPED_CONFIGS
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.stem)
+    def test_config_loads_and_builds(self, path):
+        config = load_config(path)
+        if config.algorithm in MARKET_ALGORITHMS:
+            assert build_market(config).n >= 1
+        else:
+            assert len(bandit_arms(config)[0]) >= 2
+
+
 class TestRunExperiment:
     def test_byte_identical_reruns(self, tmp_path):
         config = config_from_dict(base_config())
@@ -467,6 +487,30 @@ class TestRunExperiment:
         assert "ratio" in summary["plateau"]
         lines = (tmp_path / "series_rep0000.csv").read_text().splitlines()
         assert lines[0] == "t,hinted_regret"
+
+    def test_pool_has_no_more_processes_than_jobs(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:  # records its size and runs the jobs in this process
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return [fn(job) for job in jobs]
+
+        class Context:
+            Pool = RecordingPool
+
+        monkeypatch.setattr(runner.multiprocessing, "get_context", lambda method: Context)
+        assert runner._map_reps(abs, [-1, -2], 8) == [1, 2]
+        assert runner._map_reps(abs, [-1, -2, -3], 2) == [1, 2, 3]
+        assert sizes == [2, 2]
 
     def test_env_var_default_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("INTERVIEW_MARKETS_OUT", str(tmp_path / "envout"))
@@ -542,6 +586,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: config field 'market.generator.n'")
+
+    @pytest.mark.parametrize("overrides, fieldname", [
+        ({"algorithm": "apem", "market": THREE_ARMS, "reward_kind": "gaussian", "sigma": 0},
+         "sigma"),
+        ({"market": {"generator": {**_GENERATOR, "reward_kind": "gaussian", "sigma": -1}}},
+         "market.generator.sigma"),
+    ])
+    def test_validate_rejects_gaussian_sigma_in_one_line(self, tmp_path, capsys, overrides,
+                                                         fieldname):
+        path = self.write_config(tmp_path, **overrides)
+        assert cli_main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: config field '{fieldname}'")
 
     def test_validate_rejects_missing_market_file(self, tmp_path, capsys):
         path = self.write_config(tmp_path, market={"file": "nope.json"})

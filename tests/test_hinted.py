@@ -13,7 +13,6 @@ from interview_markets.hinted import (
     expected_max,
     hinted_regret,
     run_hinted,
-    ucb_prime,
     StepRecord,
 )
 from interview_markets.market import RewardModel
@@ -35,27 +34,28 @@ def arm_with(samples):
 
 
 class TestUcbPrime:
-    def test_zero_variance(self):
-        assert ucb_prime(arm_with([0.5, 0.5]), 0.1) == pytest.approx(0.5)
+    """The UCB' index of ``_ranked``: mean plus epsilon times population variance."""
 
     def test_variance_bonus(self):
-        # population variance of {0, 1} is 0.25
-        assert ucb_prime(arm_with([0.0, 1.0]), 0.1) == pytest.approx(0.525)
+        # population variance of {0, 1} is 0.25: index 0.525 against 0.52
+        arms = [arm_with([0.0, 1.0]), arm_with([0.52, 0.52])]
+        assert hinted._ranked(arms, 0.1) == [0, 1]
+        assert hinted._ranked(arms, None) == [1, 0]
 
     def test_epsilon_zero_is_mean(self):
-        arm = arm_with([0.2, 0.8, 0.5])
-        assert ucb_prime(arm, 0.0) == pytest.approx(arm.mean)
+        rng = random.Random(7)
+        arms = [arm_with([rng.random() for _ in range(5)]) for _ in range(6)]
+        assert hinted._ranked(arms, 0.0) == hinted._ranked(arms, None)
 
-    def test_unobserved_arm_rejected(self):
-        with pytest.raises(ParameterError):
-            ucb_prime(ArmState(), 0.1)
+    def test_unobserved_arm_ranks_first(self):
+        assert hinted._ranked([arm_with([1.0]), ArmState(), ArmState()], 0.1) == [1, 2, 0]
 
     def test_welford_matches_population_variance(self):
         rng = random.Random(4)
         samples = [rng.random() for _ in range(200)]
         arm = arm_with(samples)
         assert arm.mean == pytest.approx(np.mean(samples))
-        assert arm.variance == pytest.approx(np.var(samples))
+        assert arm.m2 / arm.count == pytest.approx(np.var(samples))
 
 
 class TestSteps:

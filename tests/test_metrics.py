@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interview_markets.central import CentralAllocator
-from interview_markets.engine import RoundOutcome, run_horizon
-from interview_markets.errors import ParameterError
-from interview_markets.estimation import EstimatorState
+from interview_markets.engine import AgentPlan, RoundOutcome, run_horizon
+from interview_markets.estimation import EstimatorState, OracleEstimator
 from interview_markets.firms import StrategicFirmPolicy
 from interview_markets.market import (
     Market,
@@ -20,10 +19,9 @@ from interview_markets.market import (
 from interview_markets.metrics import (
     InvalidityCounter,
     RunRecorder,
-    convergence_round,
     count_invalid_rounds,
     gap_table,
-    plateau_ratio,
+    plateau_from_values,
 )
 from interview_markets.named_markets import named_example
 from interview_markets.runner import market_baselines
@@ -33,7 +31,7 @@ def record_rewards(base_opt, base_pess, rewards, firm=0):
     """The series of a one-agent RunRecorder fed one round per reward, matched
     to ``firm``, as an array (round, kind in SERIES_KINDS order, agent)."""
     market = Market(((0.9, 0.5),), ((0.5,), (0.4,)))
-    recorder = RunRecorder(market, (base_opt,), (base_pess,), len(rewards))
+    recorder = RunRecorder(market, (base_opt,), (base_pess,))
     vacant = frozenset({0, 1}) - {firm}
     for t, x in enumerate(rewards, 1):
         apps = ((0,),) if firm is not None else ((),)
@@ -95,58 +93,71 @@ class TestGapTable:
             assert table.agent_min_gap[a] > 0
 
 
+class ScriptedPolicy:
+    """Each agent applies to its scripted firm of the round, or abstains on None."""
+
+    def __init__(self, script):
+        self.script = script
+
+    def plan(self, t):
+        return [AgentPlan((f, f), (f,)) if f is not None else AgentPlan((0, 0))
+                for f in self.script[t - 1]]
+
+    def observe(self, t, feedback):
+        pass
+
+
+def converged_round(script):
+    """The engine's convergence round for a scripted run of a 2x2 market."""
+    market = Market(((0.9, 0.5), (0.4, 0.8)), ((0.5, 0.6), (0.7, 0.3)))
+    agent_est, firm_est = OracleEstimator(market.agent_means), OracleEstimator(market.firm_means)
+    result = run_horizon(
+        market, agent_est, firm_est, ScriptedPolicy(script),
+        StrategicFirmPolicy(2, 2, "certain"), len(script), random.Random(0),
+    )
+    assert result.final_matching.agent_match == script[-1]
+    return result.converged_round
+
+
 class TestConvergenceRound:
     def test_constant_from_start(self):
-        assert convergence_round([(0, 1)] * 5) == 1
+        assert converged_round([(0, 1)] * 5) == 1
 
     def test_unmatched_at_end_is_absent(self):
-        assert convergence_round([(0, 1), (0, None)]) is None
+        assert converged_round([(0, 1), (0, None)]) is None
 
     def test_change_at_penultimate_round(self):
         log = [(0, 1), (0, 1), (1, 0), (1, 0)]
-        assert convergence_round(log) == 3
-        assert convergence_round([(0, 1), (1, 0), (0, 1)]) == 3
-
-    def test_empty_log(self):
-        assert convergence_round([]) is None
+        assert converged_round(log) == 3
+        assert converged_round([(0, 1), (1, 0), (0, 1)]) == 3
 
 
 class TestPlateauRatio:
     def test_constant_series(self):
-        series = np.full(100, 42.0)
-        assert plateau_ratio(series, 10, 100).ratio == pytest.approx(1.0)
+        assert plateau_from_values(42.0, 42.0).ratio == pytest.approx(1.0)
 
     def test_linear_series(self):
-        series = np.arange(1.0, 101.0)
-        res = plateau_ratio(series, 10, 100)
+        res = plateau_from_values(10.0, 100.0)
         assert res.ratio == pytest.approx(10.0)
         assert not res.zero_denominator
 
     def test_zero_series_flagged(self):
-        series = np.zeros(50)
-        res = plateau_ratio(series, 5, 50)
+        res = plateau_from_values(0.0, 0.0)
         assert res.ratio == 1.0 and res.zero_denominator
 
     def test_negative_flat_series_counts_as_flat(self):
         series = np.linspace(-1.0, -2.0, 50)
-        res = plateau_ratio(series, 5, 50)
+        res = plateau_from_values(float(series[4]), float(series[49]))
         assert res.ratio == 1.0 and res.zero_denominator
 
     def test_growth_from_zero_is_infinite(self):
-        series = np.concatenate([np.zeros(10), np.full(40, 25.0)])
-        res = plateau_ratio(series, 5, 50)
+        res = plateau_from_values(0.0, 25.0)
         assert res.ratio == float("inf")
-
-    def test_ordering_validation(self):
-        with pytest.raises(ParameterError):
-            plateau_ratio(np.zeros(10), 8, 5)
 
 
 class TestInvalidityCounter:
     def test_oracle_estimates_never_invalid(self):
         market = named_example("coordfgs")
-        from interview_markets.estimation import OracleEstimator
-
         counter = InvalidityCounter(market, [("agent", 0, 0), ("firm", 1, 1)])
         oracle_a = OracleEstimator(market.agent_means)
         oracle_f = OracleEstimator(market.firm_means)
@@ -249,7 +260,7 @@ class TestRunRecorderCounters:
         n, m, outcomes = case
         market = generate_alpha_reducible(n, m, 0.05, random.Random(1))
         recorder = RunRecorder(
-            market, [0.5] * n, [0.25] * n, len(outcomes),
+            market, [0.5] * n, [0.25] * n,
             expect_no_collisions=expect_no_collisions, certain_firms=certain,
         )
         for out in outcomes:
