@@ -72,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, MarketError, SizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # e.g. a missing market file for ``stable``
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 1

@@ -10,7 +10,7 @@ Schema (all unknown keys rejected)::
       "firm_mode": "uncertain",  # certain|uncertain (market algorithms)
       "horizon": 50000,
       "replications": 50,
-      "base_seed": 1,
+      "base_seed": 1,            # >= 0, as is market_seed
       "lambda": 0.5,             # required iff algorithm == eancdrr
       "epsilon": 0.1,            # allprobe/eap only
       "target_rank": 2,          # eap only, defaults to 1
@@ -29,7 +29,8 @@ reward model, from the generator or with arms, needs ``sigma > 0``.
 Integer fields take JSON numbers without a fractional part, real fields
 (``min_gap``, ``sigma``, ``lambda``, ``epsilon``, arms) only finite JSON
 numbers, and boolean fields only JSON booleans; anything else is a
-``ConfigError`` naming the field. A market file must exist.
+``ConfigError`` naming the field, as is a market file that is missing or
+malformed.
 """
 
 from __future__ import annotations
@@ -166,6 +167,13 @@ def _int(fieldname: str, value) -> int:
     return int(value)
 
 
+def _seed(fieldname: str, value) -> int:
+    """An integer >= 0: ``random.Random(-k)`` repeats the stream of ``k``."""
+    if _int(fieldname, value) < 0:
+        _fail(fieldname, f"must be >= 0, got {value!r}")
+    return int(value)
+
+
 def _float(fieldname: str, value) -> float:
     """A finite JSON number; booleans, strings, null, NaN, infinities and
     integers too large for a float are not."""
@@ -218,11 +226,13 @@ def config_from_dict(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCo
         if base_dir is not None and not Path(market_file).is_absolute():
             market_file = str(base_dir / market_file)
         try:
-            found = Path(market_file).is_file()
-        except OSError as exc:  # e.g. a name too long for the file system
-            _fail("market.file", f"cannot read {market_file!r}: {exc.strerror}")
-        if not found:
+            load_market(market_file)  # read once here to check it, again by build_market
+        except FileNotFoundError:
             _fail("market.file", f"no such file: {market_file}")
+        except OSError as exc:  # e.g. a directory, or a name too long for the file system
+            _fail("market.file", f"cannot read {market_file!r}: {exc.strerror}")
+        except ValueError as exc:  # a MarketError, or a name with a NUL byte
+            _fail("market.file", str(exc))
     elif source_kind == "example":
         if source_value not in EXAMPLE_NAMES:
             _fail(
@@ -248,7 +258,7 @@ def config_from_dict(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCo
                 reward_kind=source_value.get("reward_kind", "bernoulli"),
                 sigma=_float("market.generator.sigma", source_value.get("sigma", 0.1)),
                 market_seed=(
-                    _int("market.generator.market_seed", source_value["market_seed"])
+                    _seed("market.generator.market_seed", source_value["market_seed"])
                     if "market_seed" in source_value
                     else None
                 ),
@@ -331,7 +341,7 @@ def config_from_dict(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCo
         algorithm=algorithm,
         horizon=horizon,
         replications=replications,
-        base_seed=_int("base_seed", raw["base_seed"]),
+        base_seed=_seed("base_seed", raw["base_seed"]),
         market_file=market_file,
         market_example=market_example,
         market_generator=market_generator,

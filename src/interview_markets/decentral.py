@@ -101,11 +101,11 @@ class CoordinatedPolicy:
     (1 = committing), so they cannot fall out of step.
     """
 
-    def __init__(self, n: int, m: int, agent_est, phase_length: Optional[int] = None):
+    def __init__(self, n: int, m: int, agent_est):
         self.n = n
         self.m = m
         self.agent_est = agent_est
-        self.phase_length = phase_length if phase_length is not None else drr_phase_length(n)
+        self.phase_length = drr_phase_length(n)
         self.t_gs = 1
         self.rho = 0
         self.states = [DrrState([0] * m) for _ in range(n)]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, Sequence
 
 from .errors import ParameterError, ProtocolError
+from .estimation import first_in
 from .market import Market, Matching, draw_reward
 
 
@@ -151,15 +152,8 @@ def run_horizon(
                 continue
             order = firm_est.pref_list(f)
             gamma[f] = decide(t, f, pool, order)
-            if not gamma[f]:
-                continue
-            if len(pool) == 1:
-                offers[f] = pool[0]
-                continue
-            for a in order:
-                if a in pool:
-                    offers[f] = a
-                    break
+            if gamma[f]:
+                offers[f] = pool[0] if len(pool) == 1 else first_in(order, pool)
 
         # interview stage: one draw per side per listed firm
         for a, plan in enumerate(plans):

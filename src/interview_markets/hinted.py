@@ -155,26 +155,6 @@ def expected_max(mean_x: float, mean_y: float, model: RewardModel) -> float:
     return total / grid
 
 
-def hinted_regret(
-    trajectory: Sequence[StepRecord],
-    means: Sequence[float],
-    model: RewardModel,
-    target_rank: int = 1,
-) -> np.ndarray:
-    """Cumulative regret series against the target rank's true mean.
-
-    A round's increment is max(0, u_(rank) - E[max of the two probed arms]).
-    """
-    target = sorted(means, reverse=True)[target_rank - 1]
-    out = np.empty(len(trajectory))
-    acc = 0.0
-    for k, step in enumerate(trajectory):
-        lo, hi = step.probes
-        acc += max(0.0, target - expected_max(means[lo], means[hi], model))
-        out[k] = acc
-    return out
-
-
 @dataclass
 class HintedRunResult:
     cumulative_regret: np.ndarray  # length T

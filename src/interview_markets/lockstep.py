@@ -26,7 +26,6 @@ Every replication's :class:`RepOutput` equals the one
 
 from __future__ import annotations
 
-import random
 from itertools import chain, islice, repeat
 from typing import Sequence
 
@@ -37,7 +36,7 @@ from .decentral import drr_phase_length
 from .errors import ProtocolError
 from .market import Market, _deferred_acceptance, rank_order
 from .metrics import INVARIANTS
-from .runner import RepOutput, checkpoint_rounds, market_baselines
+from .runner import RepOutput, checkpoint_rounds, market_baselines, replication_streams
 
 class _Estimates:
     """Sums and counts of one side for a block, as flat ``(R, owners, peers)``
@@ -77,12 +76,12 @@ class _Block:
         self.interview_draws = n * 2 * (2 if self.uncertain else 1)  # agent side, then firm side
         self.agent_means = np.array(market.agent_means)
         self.firm_means = np.array(market.firm_means)
-        # each replication's reward stream, seeded as run_market_replication
-        # seeds it, as an endless iterator of draws (random() never returns 2)
-        self._streams = []
-        for rep in self.reps:
-            master = random.Random(config.base_seed + rep)
-            self._streams.append(iter(random.Random(master.getrandbits(64)).random, 2.0))
+        # each replication's reward stream, as an endless iterator of draws
+        # (random() never returns 2)
+        self._streams = [
+            iter(replication_streams(config.base_seed + rep)[0].random, 2.0)
+            for rep in self.reps
+        ]
 
         self.agents = np.arange(n)
         block = np.arange(R)
@@ -199,8 +198,9 @@ def run_drr_block(config, market: Market, reps: Sequence[int]) -> list[RepOutput
     masks: each agent targets the first firm of its candidate set under its
     keys (the ``t_gs`` snapshot while updating, the live keys while
     committing), and each firm with applicants offers to the first of them
-    under its keys, or abstains. Snapshots, commits, resets and phase-log
-    rows are rare and handled per replication.
+    under its keys, or abstains as ``StrategicFirmPolicy.decide`` does; the
+    firm clocks follow ``StrategicFirmPolicy.observe``. Snapshots, commits,
+    resets and phase-log rows are rare and handled per replication.
     """
     blk = _Block(config, market, reps)
     R, n, m, uncertain = blk.R, blk.n, blk.m, blk.uncertain
@@ -225,7 +225,7 @@ def run_drr_block(config, market: Market, reps: Sequence[int]) -> list[RepOutput
     committing = np.zeros(R, dtype=bool)  # rho
     snaps = {1: list(range(R))}  # round -> replications taking their snapshot
     commits = {1 + length: list(range(R))}  # round -> replications committing
-    # firms: rejection clocks r and vacancy clocks c of update_firm_rej_vars
+    # firms: rejection clocks r and vacancy clocks c of StrategicFirmPolicy.observe
     fr = np.zeros((R, m, n), dtype=np.int64)
     fc = np.zeros((R, m), dtype=np.int64)
     phase_logs = [[{"index": 0, "t_gs": 1, "triggers": "init", "committed": None}] for _ in reps]

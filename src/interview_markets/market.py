@@ -478,29 +478,43 @@ def market_to_dict(market: Market) -> dict:
     return d
 
 
+def _mean_rows(flat, rows: int, width: int) -> tuple[tuple[float, ...], ...]:
+    """Mean rows from ``rows * width`` numbers in row-major order, or nested rows."""
+    flat = list(flat)
+    if not (flat and isinstance(flat[0], (list, tuple))):
+        if len(flat) != rows * width:
+            raise ValueError("row-major mean arrays must have n*m entries")
+        flat = [flat[i * width : (i + 1) * width] for i in range(rows)]
+    return tuple(tuple(float(u) for u in row) for row in flat)
+
+
 def market_from_dict(d: dict) -> Market:
-    n, m = int(d["n"]), int(d["m"])
-    flat_a = list(d["agent_means"])
-    flat_f = list(d["firm_means"])
-    if flat_a and isinstance(flat_a[0], (list, tuple)):  # nested rows also accepted
-        agent_means = tuple(tuple(float(u) for u in row) for row in flat_a)
-        firm_means = tuple(tuple(float(u) for u in row) for row in flat_f)
-    else:
-        if len(flat_a) != n * m or len(flat_f) != n * m:
-            raise MarketError("row-major mean arrays must have n*m entries")
-        agent_means = tuple(
-            tuple(float(u) for u in flat_a[i * m : (i + 1) * m]) for i in range(n)
-        )
-        firm_means = tuple(
-            tuple(float(u) for u in flat_f[j * n : (j + 1) * n]) for j in range(m)
-        )
-    model = RewardModel(d.get("reward_kind", "bernoulli"), float(d.get("sigma", 0.1)))
-    return Market(agent_means, firm_means, model)
+    """A missing key or a malformed entry is a ``MarketError`` naming the key."""
+
+    def read(key, convert):
+        try:
+            return convert(d[key])
+        except KeyError:
+            raise MarketError(f"market key {key!r} is missing") from None
+        except (TypeError, ValueError) as exc:
+            raise MarketError(f"market key {key!r}: {exc}") from None
+
+    if not isinstance(d, dict):
+        raise MarketError(f"a market must be a JSON object, got {type(d).__name__}")
+    n, m = read("n", int), read("m", int)
+    agent_means = read("agent_means", lambda flat: _mean_rows(flat, n, m))
+    firm_means = read("firm_means", lambda flat: _mean_rows(flat, m, n))
+    sigma = read("sigma", float) if "sigma" in d else 0.1
+    return Market(agent_means, firm_means, RewardModel(d.get("reward_kind", "bernoulli"), sigma))
 
 
 def load_market(path: str | Path) -> Market:
     with open(path) as fh:
-        return market_from_dict(json.load(fh))
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # not JSON, or not text
+            raise MarketError(f"{path} is not valid JSON: {exc}") from None
+    return market_from_dict(raw)
 
 
 def save_market(market: Market, path: str | Path) -> None:

@@ -78,15 +78,12 @@ class PlateauResult:
     zero_denominator: bool = False
 
 
-def plateau_from_values(
-    early: float, late: float, floor: float = 1.0, slack: float = 1.0
-) -> PlateauResult:
+def plateau_from_values(early: float, late: float) -> PlateauResult:
     """Ratio late/early with a guard for tiny, zero, or negative denominators:
-    below ``floor`` the series counts as flat (ratio 1) iff it grew by at most
-    ``slack`` between the checkpoints, else infinity."""
-    if early < floor:
-        flat = late <= early + slack
-        return PlateauResult(1.0 if flat else float("inf"), True)
+    below 1 the series counts as flat (ratio 1) iff it grew by at most 1
+    between the checkpoints, else infinity."""
+    if early < 1.0:
+        return PlateauResult(1.0 if late <= early + 1.0 else float("inf"), True)
     return PlateauResult(late / early, False)
 
 

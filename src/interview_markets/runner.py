@@ -94,13 +94,17 @@ def _market_policy(
     raise ConfigError(f"not a market algorithm: {config.algorithm}")
 
 
+def replication_streams(seed: int) -> tuple[random.Random, random.Random]:
+    """A market replication's reward and policy streams, seeded from ``seed``."""
+    master = random.Random(seed)
+    return random.Random(master.getrandbits(64)), random.Random(master.getrandbits(64))
+
+
 def run_market_replication(
     config: ExperimentConfig, market: Market, rep: int
 ) -> RepOutput:
     seed = config.base_seed + rep
-    master = random.Random(seed)
-    reward_rng = random.Random(master.getrandbits(64))
-    policy_rng = random.Random(master.getrandbits(64))
+    reward_rng, policy_rng = replication_streams(seed)
     n, m = market.n, market.m
     agent_est = EstimatorState(n, m)
     firm_est = (
@@ -196,9 +200,7 @@ class BanditRepOutput:
     rep: int
     seed: int
     regret_at: dict[int, float]
-    pull_counts: list[int]
     last_quarter_pulls: list[int]
-    final_ranking: list[int]
 
 
 def run_bandit_replication(
@@ -217,14 +219,7 @@ def run_bandit_replication(
     )
     retain = checkpoint_rounds(config.horizon, config.stride)
     regret_at = {t: float(result.cumulative_regret[t - 1]) for t in retain}
-    return BanditRepOutput(
-        rep,
-        seed,
-        regret_at,
-        result.pull_counts.tolist(),
-        result.last_quarter_pulls.tolist(),
-        result.final_ranking,
-    )
+    return BanditRepOutput(rep, seed, regret_at, result.last_quarter_pulls.tolist())
 
 
 def _bandit_worker(args) -> BanditRepOutput:

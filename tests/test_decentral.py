@@ -190,9 +190,9 @@ class TestCoordinatedTriggers:
         """A 2x2 policy freshly committed to (f0, f1) with oracle-true estimates."""
         market = named_example("introstrategic", reward_kind="point")
         agent_est = OracleEstimator(market.agent_means)
-        policy = CoordinatedPolicy(2, 2, agent_est, phase_length=4)
+        policy = CoordinatedPolicy(2, 2, agent_est)
         t = 1
-        while t <= 5:  # updating rounds 1..4 plus commit round 5
+        while t <= 1 + policy.phase_length:  # updating rounds plus the commit round
             plans = policy.plan(t)
             apps = [p.applications for p in plans]
             matches = []

@@ -2,7 +2,8 @@
 
 Each case runs one small Bernoulli config through ``run_experiment`` and
 pins the sha256 of its series and phase CSVs and its summary, taken in
-file-name order. Any change to the round protocol, the RNG draw order, the
+file-name order. One more case, with ``log_rounds``, pins the per-round
+``rounds_rep*.csv`` and ``firms_rep*.csv`` logs as well. Any change to the round protocol, the RNG draw order, the
 estimators, the firm clocks, the regret accounting, the invariant counters or
 the CSV rendering moves a digest. Gaussian rewards are left out because
 their draws go through libm.
@@ -59,11 +60,11 @@ def golden_config(algorithm, firm_mode):
     return config_from_dict(raw)
 
 
-def artifact_digest(out_dir) -> str:
+def artifact_digest(out_dir, prefixes=("series_", "phases_")) -> str:
     h = hashlib.sha256()
     paths = sorted(
         p for p in out_dir.iterdir()
-        if p.name.startswith(("series_", "phases_")) or p.name == "summary.json"
+        if p.name.startswith(prefixes) or p.name == "summary.json"
     )
     for path in paths:
         h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
@@ -81,3 +82,24 @@ def test_scalar_drr_matches_golden_digest(firm_mode, tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "_runs_lockstep", lambda config, market: False)
     run_experiment(golden_config("drr", firm_mode), out_dir=str(tmp_path))
     assert artifact_digest(tmp_path) == GOLDEN[("drr", firm_mode)]
+
+
+# ancdrr with uncertain firms, logging every round: its firms abstain, so the
+# gamma column of firms_rep*.csv holds zeros
+LOGGED_GOLDEN = "e80302a148aa7651da243e47ed9c0ecc8dd72f067ee89daaf151065f4499a047"
+
+
+def test_round_logs_match_golden_digest(tmp_path):
+    raw = {"algorithm": "ancdrr", "market": MARKET, "firm_mode": "uncertain",
+           "horizon": 150, "replications": 3, "base_seed": 4, "stride": 1,
+           "log_rounds": True}
+    summary = run_experiment(config_from_dict(raw), out_dir=str(tmp_path))
+    assert summary["invariants"]["gamma_zero_rounds"] > 0
+    gammas = [
+        line.split(",")[2]
+        for path in tmp_path.glob("firms_rep*.csv")
+        for line in path.read_text().splitlines()[1:]
+    ]
+    assert gammas.count("0") == summary["invariants"]["gamma_zero_rounds"]
+    digest = artifact_digest(tmp_path, ("series_", "rounds_", "firms_"))
+    assert digest == LOGGED_GOLDEN

@@ -235,6 +235,19 @@ class TestGeneratorFeasibility:
         assert build_market(config_from_dict(raw)).m == 4
 
 
+class TestSeeds:
+    # random.Random(-k) is the stream of random.Random(k): with base_seed -1,
+    # replications 0 and 2 would draw the same rewards
+    @pytest.mark.parametrize("fieldname", ["base_seed", "market.generator.market_seed"])
+    def test_negative_seed_is_a_config_error(self, fieldname):
+        with pytest.raises(ConfigError, match=f"'{fieldname}': must be >= 0, got -1"):
+            config_from_dict(config_with(fieldname, -1))
+
+    @pytest.mark.parametrize("fieldname", ["base_seed", "market.generator.market_seed"])
+    def test_zero_seed_parses(self, fieldname):
+        config_from_dict(config_with(fieldname, 0))
+
+
 THREE_ARMS = {"arms": [0.9, 0.5, 0.2]}
 
 
@@ -613,6 +626,36 @@ class TestCli:
         path = self.write_config(tmp_path, market={"file": "market.json"})
         assert cli_main(["validate", str(path)]) == 0
         assert load_config(path).market_file == str(tmp_path / "market.json")
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_malformed_market_file_names_the_key_in_one_line(self, tmp_path, capsys, command):
+        (tmp_path / "market.json").write_text(json.dumps({"n": 2, "m": 2}))
+        path = self.write_config(tmp_path, market={"file": "market.json"})
+        args = [command, str(path)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+        assert cli_main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: config field 'market.file': market key 'agent_means'")
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"n": 2, "m": 2}', "market key 'agent_means' is missing"),
+        ('{"n": 1, "m": 2, "agent_means": [0.9, "high"], "firm_means": [0.5, 0.4]}',
+         "market key 'agent_means': could not convert string to float: 'high'"),
+        ("{not json", "is not valid JSON"),
+    ])
+    def test_stable_reports_malformed_market_file_in_one_line(self, tmp_path, capsys, text,
+                                                              message):
+        market_path = tmp_path / "market.json"
+        market_path.write_text(text)
+        assert cli_main(["stable", str(market_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and message in err
+
+    def test_stable_reports_a_directory_in_one_line(self, tmp_path, capsys):
+        assert cli_main(["stable", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
     def test_stable_prints_set(self, tmp_path, capsys):
         market_path = tmp_path / "market.json"

@@ -324,6 +324,28 @@ class TestMarketFile:
         with pytest.raises(MarketError):
             market_from_dict({"n": 2, "m": 2, "agent_means": [0.1], "firm_means": [0.1]})
 
+    @pytest.mark.parametrize("d, key", [
+        ({"n": 1, "m": 1, "firm_means": [0.5]}, "agent_means"),
+        ({"n": 1, "agent_means": [0.5], "firm_means": [0.5]}, "m"),
+        ({"n": "one", "m": 1, "agent_means": [0.5], "firm_means": [0.5]}, "n"),
+        ({"n": 1, "m": 1, "agent_means": [None], "firm_means": [0.5]}, "agent_means"),
+        ({"n": 1, "m": 1, "agent_means": [0.5], "firm_means": [[None]]}, "firm_means"),
+        ({"n": 1, "m": 1, "agent_means": [0.5], "firm_means": 0.5}, "firm_means"),
+        ({"n": 1, "m": 1, "agent_means": [0.5], "firm_means": [0.5], "sigma": "wide"},
+         "sigma"),
+        ({"n": 2, "m": 2, "agent_means": [0.1], "firm_means": [0.1]}, "agent_means"),
+    ])
+    def test_malformed_entry_names_the_key(self, d, key):
+        with pytest.raises(MarketError, match=f"market key '{key}'"):
+            market_from_dict(d)
+
+    @pytest.mark.parametrize("text", ["{not json", "[]", "\udcff"])
+    def test_load_rejects_what_is_not_a_market_object(self, tmp_path, text):
+        path = tmp_path / "market.json"
+        path.write_text(text, errors="surrogateescape")
+        with pytest.raises(MarketError):
+            load_market(path)
+
 
 def test_multappl_is_the_k3_market():
     assert "multappl" in EXAMPLE_NAMES
