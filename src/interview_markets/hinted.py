@@ -158,9 +158,7 @@ def expected_max(mean_x: float, mean_y: float, model: RewardModel) -> float:
 @dataclass
 class HintedRunResult:
     cumulative_regret: np.ndarray  # length T
-    pull_counts: np.ndarray  # per arm, whole horizon
     last_quarter_pulls: np.ndarray  # per arm, final quarter only
-    final_ranking: list[int]
 
 
 def run_hinted(
@@ -180,7 +178,6 @@ def run_hinted(
     rank = target_rank if algorithm == "eap" else 1
     regret_target = means[rank_order(means)[rank - 1]]
     cum = np.empty(T)
-    pulls = np.zeros(m, dtype=np.int64)
     last_quarter = np.zeros(m, dtype=np.int64)
     quarter_start = T - T // 4
     increments: dict[tuple[int, int], float] = {}  # per probed pair
@@ -201,8 +198,6 @@ def run_hinted(
             increments[step.probes] = inc
         acc += inc
         cum[t - 1] = acc
-        pulls[step.pulled] += 1
         if t > quarter_start:
             last_quarter[step.pulled] += 1
-    final_ranking = _ranked(bandit.arms, None if algorithm == "apem" else epsilon)
-    return HintedRunResult(cum, pulls, last_quarter, final_ranking)
+    return HintedRunResult(cum, last_quarter)

@@ -1,5 +1,6 @@
-"""Lockstep replications of the central allocator (``cia``) and the
-coordinated learner (``drr``) on numpy arrays.
+"""Lockstep replications of the central allocator (``cia``), the
+coordinated learner (``drr``) and the randomized coordination-free learner
+(``eancdrr``) on numpy arrays.
 
 A block of R replications advances round by round together. Estimates live
 in ``(R, n, m)`` agent-side and ``(R, m, n)`` firm-side sum and count arrays,
@@ -7,21 +8,25 @@ with each pair's ranking key, and regret accumulates over the whole block.
 Every replication's :class:`RepOutput` equals the one
 ``runner.run_market_replication`` returns for it, because:
 
-- the random draws come from the replication's own ``random.Random`` stream
-  in the scalar engine's order: for each agent in index order and each of
-  its two interviews (the firm it targets, then the round-robin firm), the
-  agent-side draw and then, for uncertain firms, the firm-side draw; after
-  those, one reward draw per matched agent in index order;
+- the random draws come from the replication's own ``random.Random``
+  streams in the scalar engine's order: from the reward stream, for each
+  agent in index order and each of its interviews (the firm it targets,
+  then its anchor if it has one, then the round-robin firm), the agent-side
+  draw and then, for uncertain firms, the firm-side draw; after those, one
+  reward draw per matched agent in index order; from the policy stream,
+  ``eancdrr``'s lambda draws in agent order;
 - ``cia``'s deferred acceptance is ``market._deferred_acceptance`` itself;
 - the ranking rule is ``estimation._sort_key`` (``market.rank_order`` for
   certain firms) as numpy keys: a stable argsort gives a ``pref_list``, and
-  ``drr``'s masked ``argmin`` gives ``estimation.first_in`` over a candidate
-  set, its first-occurrence rule breaking ties by index;
+  a masked ``argmin`` gives ``estimation.first_in`` over a candidate set,
+  its first-occurrence rule breaking ties by index;
 - convergence is ``engine.run_horizon``'s agent-perfect streak, and the
   retained rounds are ``runner.checkpoint_rounds``.
 
 ``engine.run_horizon`` is the reference; the runner sends only Bernoulli
-``cia`` and ``drr`` configs without per-round logs here.
+``cia``, ``drr`` and ``eancdrr`` configs without per-round logs here.
+``ancdrr`` stays scalar for now: the perfbench ``scale`` self-test needs one
+scalar algorithm until the benchmark counts lockstep rounds (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -73,15 +78,14 @@ class _Block:
         R, n, m = len(self.reps), market.n, market.m
         self.R, self.n, self.m = R, n, m
         self.uncertain = config.firm_mode == "uncertain"
-        self.interview_draws = n * 2 * (2 if self.uncertain else 1)  # agent side, then firm side
+        self.sides = 2 if self.uncertain else 1  # draws per interview: agent side, then firm side
         self.agent_means = np.array(market.agent_means)
         self.firm_means = np.array(market.firm_means)
-        # each replication's reward stream, as an endless iterator of draws
-        # (random() never returns 2)
-        self._streams = [
-            iter(replication_streams(config.base_seed + rep)[0].random, 2.0)
-            for rep in self.reps
-        ]
+        # each replication's reward and policy streams, as endless iterators
+        # of draws (random() never returns 2)
+        streams = [replication_streams(config.base_seed + rep) for rep in self.reps]
+        self._streams = [iter(rewards.random, 2.0) for rewards, _ in streams]
+        self._policy = [iter(policy.random, 2.0) for _, policy in streams]
 
         self.agents = np.arange(n)
         block = np.arange(R)
@@ -92,7 +96,6 @@ class _Block:
         self._matched_means = np.hstack([self.agent_means, np.zeros((n, 1))])  # firm -1: 0
         self.agent_est = _Estimates((R, n, m))
         self.firm_est = _Estimates((R, m, n))
-        self._fs = np.empty((R, n, 2), dtype=np.intp)  # interviewed firms: target, round-robin
         self._rr = [round_robin_firm(self.agents, t, m) for t in range(m)]  # by t mod m
 
         self._bases = np.array(market_baselines(market))[:, None, :]  # (2, 1, n): opt, pess
@@ -105,24 +108,36 @@ class _Block:
         # each replication's count of every invariant event, as RunRecorder's
         self.events = {name: np.zeros(R, dtype=np.int64) for name in INVARIANTS}
 
-    def settle(self, t: int, targets: np.ndarray, match: np.ndarray) -> None:
-        """Round ``t`` after hiring: interviews at ``targets`` and the
-        round-robin firms, rewards of ``match`` (-1 for unmatched agents),
-        regret and convergence. Hiring reads only round-start estimates, so
-        the interviews are drawn and recorded after it, as in the engine."""
-        R, n, D = self.R, self.n, self.interview_draws
+    def settle(self, t: int, targets: np.ndarray, match: np.ndarray, anchors=None) -> None:
+        """Round ``t`` after hiring: interviews, rewards of ``match`` (-1 for
+        unmatched agents), regret and convergence. Each agent interviews its
+        target, then its anchor when ``anchors`` holds one (-1 for none),
+        then its round-robin firm; a repeated firm is sampled twice. Hiring
+        reads only round-start estimates, so the interviews are drawn and
+        recorded after it, as in the engine."""
+        R, n, sides = self.R, self.n, self.sides
+        rr = self._rr[t % self.m]
+        if anchors is None:
+            fs = np.empty((R, n, 2), dtype=np.intp)
+            fs[..., 0], fs[..., 1] = targets, rr
+        else:
+            fs = np.empty((R, n, 3), dtype=np.intp)
+            fs[..., 0], fs[..., 1], fs[..., 2] = targets, anchors, rr
+        used = fs >= 0
+        every = used.all()
+        counts = repeat(fs[0].size * sides) if every else (used.sum((1, 2)) * sides).tolist()
+        total = fs.size * sides if every else sum(counts)
         # Streams are independent, so drawing every replication's interviews
         # and then every replication's rewards keeps each stream's order.
-        draws = chain.from_iterable(map(islice, self._streams, repeat(D)))
-        interviews = np.fromiter(draws, float, R * D).reshape(R, n, 2, -1)
-        fs = self._fs
-        fs[..., 0] = targets
-        fs[..., 1] = self._rr[t % self.m]
-        idx = (self._a_flat + fs).ravel()
-        self.agent_est.record(idx, interviews[..., 0].ravel() < self._a_means[idx])
+        draws = chain.from_iterable(map(islice, self._streams, counts))
+        interviews = np.fromiter(draws, float, total).reshape(-1, sides)
+        idx = self._a_flat + fs  # masked in draw order: replication, agent, slot
+        idx = idx.ravel() if every else idx[used]
+        self.agent_est.record(idx, interviews[:, 0] < self._a_means[idx])
         if self.uncertain:
-            idx = (self._f_flat + fs * n).ravel()
-            self.firm_est.record(idx, interviews[..., 1].ravel() < self._f_means[idx])
+            idx = self._f_flat + fs * n
+            idx = idx.ravel() if every else idx[used]
+            self.firm_est.record(idx, interviews[:, 1] < self._f_means[idx])
 
         matched = match >= 0
         draws = chain.from_iterable(map(islice, self._streams, matched.sum(1).tolist()))
@@ -159,6 +174,47 @@ class _Block:
             )
             for i, rep in enumerate(self.reps)
         ]
+
+
+class _FirmPolicy:
+    """``firms.StrategicFirmPolicy`` for a block: every firm's clocks as
+    ``(R, m, n)`` rejection rounds ``r`` and ``(R, m)`` vacancy rounds ``c``,
+    which the caller stamps as ``StrategicFirmPolicy.observe`` does."""
+
+    def __init__(self, blk: _Block):
+        R, n, m = blk.R, blk.n, blk.m
+        self.uncertain, self.events = blk.uncertain, blk.events
+        self.keys = (
+            blk.firm_est.keys.reshape(R, m, n)  # a view: record updates it in place
+            if blk.uncertain
+            else np.broadcast_to(-blk.firm_means, (R, m, n))  # OracleEstimator's order
+        )
+        self.r = np.zeros((R, m, n), dtype=np.int64)
+        self.c = np.zeros((R, m), dtype=np.int64)
+        self._pool_rows = np.arange(R * m).reshape(R, m) * n  # + agent: flat (R, m, n) index
+        self._abstained = np.zeros((R, m), dtype=bool)
+
+    def decide(self, pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each firm's best applicant under its keys, and whether it offers.
+
+        ``pool`` is ``(R, m, n)``. A firm takes the first agent of its order
+        that applied or, if it is uncertain, that it rejected (r >= 1) at or
+        after its last vacancy (c); it abstains when that agent did not
+        apply, and a firm without applicants does not offer."""
+        offering = pool.any(-1)
+        r, c = self.r, self.c
+        heads = pool | ((r >= 1) & (r >= c[..., None])) if self.uncertain else pool
+        best = np.where(heads, self.keys, np.inf).argmin(-1)  # (R, m)
+        abstain = offering & ~pool.ravel()[self._pool_rows + best]
+        if abstain.any():
+            # RunRecorder counts a firm's abstention as consecutive when it
+            # also abstained, from a nonempty pool, the round before; an
+            # abstaining firm always has applicants, so that is the test
+            self.events["gamma_zero_rounds"] += abstain.sum(1)
+            self.events["consecutive_abstentions"] += (abstain & self._abstained).sum(1)
+            offering &= ~abstain
+        self._abstained = abstain
+        return best, offering
 
 
 def run_cia_block(config, market: Market, reps: Sequence[int]) -> list[RepOutput]:
@@ -203,17 +259,12 @@ def run_drr_block(config, market: Market, reps: Sequence[int]) -> list[RepOutput
     resets and phase-log rows are rare and handled per replication.
     """
     blk = _Block(config, market, reps)
-    R, n, m, uncertain = blk.R, blk.n, blk.m, blk.uncertain
+    R, n, m = blk.R, blk.n, blk.m
     length = drr_phase_length(n)
     agents, firms = blk.agents, np.arange(m)[:, None]
     firm_rows = np.arange(R)[:, None] * m  # + firm: flat (R, m) index
-    pool_rows = np.arange(R * m).reshape(R, m) * n  # + agent: flat (R, m, n) index
     live = blk.agent_est.keys.reshape(R, n, m)  # a view: record updates it in place
-    firm_keys = (
-        blk.firm_est.keys.reshape(R, m, n)
-        if uncertain
-        else np.broadcast_to(-blk.firm_means, (R, m, n))  # OracleEstimator's order
-    )
+    firm_policy = _FirmPolicy(blk)
 
     # agents: rejection clocks, keys frozen at t_gs, and what a commit fixes
     r = np.zeros((R, n, m), dtype=np.int64)
@@ -225,11 +276,7 @@ def run_drr_block(config, market: Market, reps: Sequence[int]) -> list[RepOutput
     committing = np.zeros(R, dtype=bool)  # rho
     snaps = {1: list(range(R))}  # round -> replications taking their snapshot
     commits = {1 + length: list(range(R))}  # round -> replications committing
-    # firms: rejection clocks r and vacancy clocks c of StrategicFirmPolicy.observe
-    fr = np.zeros((R, m, n), dtype=np.int64)
-    fc = np.zeros((R, m), dtype=np.int64)
     phase_logs = [[{"index": 0, "t_gs": 1, "triggers": "init", "committed": None}] for _ in reps]
-    abstained = np.zeros((R, m), dtype=bool)
 
     for t in range(1, config.horizon + 1):
         # one t_gs and one phase flag per replication, as in the scalar policy
@@ -260,22 +307,8 @@ def run_drr_block(config, market: Market, reps: Sequence[int]) -> list[RepOutput
 
         apply = ~trigger
         pool = apply[:, None, :] & (choice[:, None, :] == firms)  # (R, m, n)
-        hired = pool.any(-1)
-        # A firm takes the first agent of its order that applied or, if it is
-        # uncertain, that it rejected (r >= 1) at or after its last vacancy
-        # (c); it abstains when that agent did not apply.
-        heads = pool | ((fr >= 1) & (fr >= fc[..., None])) if uncertain else pool
-        best = np.where(heads, firm_keys, np.inf).argmin(-1)  # (R, m)
-        abstain = hired & ~pool.ravel()[pool_rows + best]
-        if abstain.any():
-            # RunRecorder counts a firm's abstention as consecutive when it
-            # also abstained, from a nonempty pool, the round before; an
-            # abstaining firm always has applicants, so that is the test
-            blk.events["gamma_zero_rounds"] += abstain.sum(1)
-            blk.events["consecutive_abstentions"] += (abstain & abstained).sum(1)
-            hired &= ~abstain
-        abstained = abstain
-        fc[~hired] = t
+        best, hired = firm_policy.decide(pool)  # one applicant each, so every offer is taken
+        firm_policy.c[~hired] = t
         at_choice = firm_rows + choice
         matched = apply & (np.where(hired, best, -1).ravel()[at_choice] == agents)
         match = np.where(matched, choice, -1)
@@ -289,7 +322,7 @@ def run_drr_block(config, market: Market, reps: Sequence[int]) -> list[RepOutput
             i, a = np.nonzero(lost & ~vacant)
             f = choice[i, a]
             r[i, a, f] = t
-            fr[i, f, a] = t
+            firm_policy.r[i, f, a] = t
             # V' is the set of vacant firms, so |V'| > m - n iff an agent is
             # unmatched; resets come only once a phase has committed, so no
             # scheduled commit is pending
@@ -317,3 +350,95 @@ def run_drr_block(config, market: Market, reps: Sequence[int]) -> list[RepOutput
     # candidate (or raise), and certain firms choose within their pools, so
     # they never abstain: those events never happen here
     return blk.outputs(phase_logs)
+
+
+def run_eancdrr_block(config, market: Market, reps: Sequence[int]) -> list[RepOutput]:
+    """Replications ``reps`` of a Bernoulli ``eancdrr`` config, run in lockstep.
+
+    ``decentral.ExtendedCoordinationFreePolicy`` and
+    ``firms.StrategicFirmPolicy`` as masks: each agent targets the first firm
+    under its live keys that never rejected it or was reopened since
+    (``_best_open_firm``), falling back to its anchor, else its round-robin
+    firm; an anchored agent whose target is not its anchor probes with
+    probability lambda, applying to the target and then the anchor, and
+    otherwise applies to the anchor alone. Firms decide by
+    :meth:`_FirmPolicy.decide`, an agent with two offers takes its first
+    application's, and the feedback follows
+    ``decentral._apply_v_events_then_rejections``.
+    """
+    blk = _Block(config, market, reps)
+    R, n, m, lam = blk.R, blk.n, blk.m, config.lam
+    agents, firm_ids = blk.agents, np.arange(m)
+    firms = firm_ids[:, None]
+    firm_rows = np.arange(R)[:, None] * m  # + firm: flat (R, m) index
+    agent_rows = np.arange(R)[:, None] * n  # + agent: flat (R, n) index
+    live = blk.agent_est.keys.reshape(R, n, m)  # a view: record updates it in place
+    firm_policy = _FirmPolicy(blk)
+    fr_flat = firm_policy.r.reshape(-1)  # a view
+
+    # agents: rejection clocks, reopened firms and anchors (-1: none yet)
+    r = np.zeros((R, n, m), dtype=np.int64)
+    reopened = np.zeros((R, n, m), dtype=bool)
+    r_flat, reopened_flat = r.reshape(-1), reopened.reshape(-1)  # views
+    pair_rows = blk._a_flat[..., 0]  # + firm: flat (R, n, m) index
+    anchor = np.full((R, n), -1)
+    prev_hold = np.full((R, m), -1)  # the agent each firm held last round, -1: none
+
+    for t in range(1, config.horizon + 1):
+        is_open = (r == 0) | reopened
+        target = np.where(is_open, live, np.inf).argmin(-1)  # (R, n)
+        empty = ~is_open.any(-1)
+        if empty.any():
+            blk.events["empty_candidate_anomalies"] += empty.sum(1)
+            fallback = np.where(anchor >= 0, anchor, blk._rr[t % m])
+            target = np.where(empty, fallback, target)
+        anchored = anchor >= 0
+        # one lambda draw per anchored agent whose target is not its anchor,
+        # in agent order, from the replication's policy stream
+        drawing = anchored & (target != anchor)
+        probe = np.zeros((R, n), dtype=bool)
+        if drawing.any():
+            draws = chain.from_iterable(map(islice, blk._policy, drawing.sum(1).tolist()))
+            probe[drawing] = np.fromiter(draws, float) < lam
+        first = np.where(anchored & ~probe, anchor, target)  # then the anchor if probing
+        second = np.where(probe, anchor, -1)
+        pool = (first[:, None, :] == firms) | (second[:, None, :] == firms)  # (R, m, n)
+
+        best, offering = firm_policy.decide(pool)
+        offer = np.where(offering, best, -1).ravel()
+        # acceptance by priority: an agent takes its first application's
+        # offer, else its second's; an offer it declines leaves the firm vacant
+        took_first = offer[firm_rows + first] == agents
+        took_second = probe & (offer[firm_rows + anchor] == agents)
+        match = np.where(took_first, first, np.where(took_second, anchor, -1))
+        hold = np.where(offering & (match.ravel()[agent_rows + best] == firm_ids), best, -1)
+
+        # feedback: V' is the vacant firms, V adds those whose hire changed
+        vacant = hold < 0
+        changed = vacant | (hold != prev_hold)
+        firm_policy.c[vacant] = t  # an empty pool, an abstention or a declined offer
+        # V events reopen firms first, then this round's rejections close
+        # them again. A firm hiring someone else rejects each applicant it
+        # passed over, which stamps r on both sides; a vacant firm rejects
+        # no one, and a hire from a one-applicant pool passes no one over.
+        reopened |= changed[:, None, :] & (r >= 1)
+        held = hold.ravel()
+        for f, applied in ((first, True), (anchor, probe)):
+            h = held[firm_rows + f]
+            rejected = applied & (h >= 0) & (h != agents)
+            if rejected.any():
+                idx = (pair_rows + f)[rejected]
+                r_flat[idx] = t
+                reopened_flat[idx] = False
+                fr_flat[((firm_rows + f) * n + agents)[rejected]] = t
+
+        blk.settle(t, target, match, anchor)
+        # anchor: the firm held, else (first round) the firm first applied to
+        anchor = np.where(match >= 0, match, np.where(anchored, anchor, first))
+        prev_hold = hold
+
+    # V' is a subset of V and |V'| >= m - n by construction (each agent holds
+    # at most one firm), collisions are counted for cia alone, and certain
+    # firms choose within their pools, so they never abstain: those events
+    # never happen here
+    return blk.outputs()

@@ -485,7 +485,19 @@ def _mean_rows(flat, rows: int, width: int) -> tuple[tuple[float, ...], ...]:
         if len(flat) != rows * width:
             raise ValueError("row-major mean arrays must have n*m entries")
         flat = [flat[i * width : (i + 1) * width] for i in range(rows)]
-    return tuple(tuple(float(u) for u in row) for row in flat)
+    return tuple(tuple(_number(u) for u in row) for row in flat)
+
+
+def _size(value) -> int:
+    if type(value) is not int:  # a bool is an int too
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def market_from_dict(d: dict) -> Market:
@@ -501,10 +513,10 @@ def market_from_dict(d: dict) -> Market:
 
     if not isinstance(d, dict):
         raise MarketError(f"a market must be a JSON object, got {type(d).__name__}")
-    n, m = read("n", int), read("m", int)
+    n, m = read("n", _size), read("m", _size)
     agent_means = read("agent_means", lambda flat: _mean_rows(flat, n, m))
     firm_means = read("firm_means", lambda flat: _mean_rows(flat, m, n))
-    sigma = read("sigma", float) if "sigma" in d else 0.1
+    sigma = read("sigma", _number) if "sigma" in d else 0.1
     return Market(agent_means, firm_means, RewardModel(d.get("reward_kind", "bernoulli"), sigma))
 
 

@@ -173,7 +173,9 @@ def run_market_replication(
     return out
 
 
-_LOCKSTEP_BLOCKS = {"cia": "run_cia_block", "drr": "run_drr_block"}  # in lockstep.py
+_LOCKSTEP_BLOCKS = {  # in lockstep.py
+    "cia": "run_cia_block", "drr": "run_drr_block", "eancdrr": "run_eancdrr_block"
+}
 
 
 def _runs_lockstep(config: ExperimentConfig, market: Market) -> bool:

@@ -8,9 +8,12 @@ estimators, the firm clocks, the regret accounting, the invariant counters or
 the CSV rendering moves a digest. Gaussian rewards are left out because
 their draws go through libm.
 
-``ancdrr`` and ``eancdrr`` run on the scalar reference engine. ``drr`` runs
-as a lockstep block (``lockstep.run_drr_block``), and once more with the
-runner held to the scalar engine; both must give the pinned digest.
+``drr`` and ``eancdrr`` run as lockstep blocks (``lockstep.run_drr_block``,
+``lockstep.run_eancdrr_block``), and once more with the runner held to the
+scalar engine; both paths must give the pinned digest. ``ancdrr`` runs on
+the scalar reference engine alone: the perfbench ``scale`` self-test needs
+one scalar algorithm until the benchmark counts lockstep rounds (ROADMAP
+item 1).
 """
 
 import hashlib
@@ -77,11 +80,12 @@ def test_artifacts_match_golden_digest(case, tmp_path):
     assert artifact_digest(tmp_path) == GOLDEN[case]
 
 
+@pytest.mark.parametrize("algorithm", ["drr", "eancdrr"])
 @pytest.mark.parametrize("firm_mode", ["certain", "uncertain"])
-def test_scalar_drr_matches_golden_digest(firm_mode, tmp_path, monkeypatch):
+def test_scalar_engine_matches_golden_digest(algorithm, firm_mode, tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "_runs_lockstep", lambda config, market: False)
-    run_experiment(golden_config("drr", firm_mode), out_dir=str(tmp_path))
-    assert artifact_digest(tmp_path) == GOLDEN[("drr", firm_mode)]
+    run_experiment(golden_config(algorithm, firm_mode), out_dir=str(tmp_path))
+    assert artifact_digest(tmp_path) == GOLDEN[(algorithm, firm_mode)]
 
 
 # ancdrr with uncertain firms, logging every round: its firms abstain, so the

@@ -640,7 +640,7 @@ class TestCli:
     @pytest.mark.parametrize("text, message", [
         ('{"n": 2, "m": 2}', "market key 'agent_means' is missing"),
         ('{"n": 1, "m": 2, "agent_means": [0.9, "high"], "firm_means": [0.5, 0.4]}',
-         "market key 'agent_means': could not convert string to float: 'high'"),
+         "market key 'agent_means': expected a number, got 'high'"),
         ("{not json", "is not valid JSON"),
     ])
     def test_stable_reports_malformed_market_file_in_one_line(self, tmp_path, capsys, text,

@@ -97,10 +97,10 @@ class TestSteps:
 
     def test_eap_rank_one_equals_allprobe(self):
         means = (0.8, 0.6, 0.4)
-        a = run_hinted("allprobe", means, RewardModel(), 500, random.Random(9))
-        b = run_hinted("eap", means, RewardModel(), 500, random.Random(9), target_rank=1)
-        assert np.array_equal(a.cumulative_regret, b.cumulative_regret)
-        assert np.array_equal(a.pull_counts, b.pull_counts)
+        a, rng_a = HintedBandit(means, RewardModel()), random.Random(9)
+        b, rng_b = HintedBandit(means, RewardModel()), random.Random(9)
+        for t in range(1, 501):
+            assert a.allprobe_step(t, rng_a) == b.eap_step(t, 1, rng_b)
 
     def test_eap_rank_out_of_range(self):
         bandit = HintedBandit((0.8, 0.6, 0.4), RewardModel())
@@ -126,10 +126,10 @@ class TestSteps:
 
     def test_apem_equals_allprobe_with_zero_epsilon(self):
         means = (0.8, 0.55, 0.35)
-        a = run_hinted("allprobe", means, RewardModel(), 800, random.Random(3), epsilon=0.0)
-        b = run_hinted("apem", means, RewardModel(), 800, random.Random(3))
-        assert np.array_equal(a.cumulative_regret, b.cumulative_regret)
-        assert np.array_equal(a.pull_counts, b.pull_counts)
+        a, rng_a = HintedBandit(means, RewardModel(), epsilon=0.0), random.Random(3)
+        b, rng_b = HintedBandit(means, RewardModel()), random.Random(3)
+        for t in range(1, 801):
+            assert a.allprobe_step(t, rng_a) == b.apem_step(t, rng_b)
 
     def test_first_block_observes_every_arm(self):
         means = (0.8, 0.55, 0.35, 0.2)
@@ -225,8 +225,10 @@ class TestRunHinted:
         means = (0.9, 0.1, 0.1)
         hits = 0
         for seed in range(100):
-            result = run_hinted("apem", means, RewardModel(), 10_000, random.Random(seed))
-            if result.final_ranking[0] == 0:
+            bandit, rng = HintedBandit(means, RewardModel()), random.Random(seed)
+            for t in range(1, 10_001):
+                bandit.apem_step(t, rng)
+            if hinted._ranked(bandit.arms, None)[0] == 0:
                 hits += 1
         assert hits >= 95
 

@@ -1,9 +1,11 @@
-"""Lockstep ``cia`` and ``drr`` blocks against the scalar engine, replication
-by replication."""
+"""Lockstep ``cia``, ``drr`` and ``eancdrr`` blocks against the scalar engine,
+replication by replication."""
 
 import json
+from contextlib import ExitStack
 from dataclasses import asdict
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from interview_markets import lockstep, runner
 from interview_markets.config import ExperimentConfig, config_from_dict
 from interview_markets.errors import ProtocolError
-from interview_markets.lockstep import run_cia_block, run_drr_block
+from interview_markets.lockstep import run_cia_block, run_drr_block, run_eancdrr_block
 from interview_markets.market import Market, RewardModel
 from interview_markets.metrics import INVARIANTS
 from interview_markets.named_markets import named_example
@@ -20,10 +22,12 @@ from interview_markets.runner import run_experiment, run_market_replication
 
 
 @st.composite
-def markets(draw):
-    """Small markets with strict preferences; means on a 0.05 grid, 0 and 1 included."""
+def markets(draw, crowded=False):
+    """Small markets with strict preferences; means on a 0.05 grid, 0 and 1
+    included. ``crowded`` also draws more agents than firms, as a plain
+    namespace, since Market rejects those."""
     n = draw(st.integers(1, 4))
-    m = draw(st.integers(n, 6))
+    m = draw(st.integers(1 if crowded else n, 6))
 
     def rows(count, width):
         return tuple(
@@ -32,40 +36,61 @@ def markets(draw):
             for _ in range(count)
         )
 
-    return Market(rows(n, m), rows(m, n))
+    if m >= n:
+        return Market(rows(n, m), rows(m, n))
+    return SimpleNamespace(n=n, m=m, agent_means=rows(n, m), firm_means=rows(m, n),
+                           reward_model=RewardModel())
 
 
-BLOCKS = {"cia": run_cia_block, "drr": run_drr_block}
+BLOCKS = {"cia": run_cia_block, "drr": run_drr_block, "eancdrr": run_eancdrr_block}
 
 
 def block_config(**fields):
     base = dict(algorithm="cia", horizon=40, replications=3, base_seed=1,
                 market_example="coordfgs", firm_mode="uncertain", stride=10)
+    if fields.get("algorithm") == "eancdrr":
+        base["lam"] = 0.5
     return ExperimentConfig(**{**base, **fields})
 
 
 # drr's phases last 3 n^2 rounds (48 for n = 4), so horizons up to 150 see
-# commits and resets by every trigger, strategic abstentions included
+# commits and resets by every trigger, strategic abstentions included.
+# eancdrr sees probes, declined offers, reopenings and abstentions there too;
+# its empty candidate sets take more agents than firms (with m >= n a vacant
+# firm reopens for every agent, and a held firm reopened when it hired), so
+# its markets may be crowded, with baselines set by hand since
+# market_baselines needs every agent matched.
+@pytest.mark.parametrize("algorithm", sorted(BLOCKS))
 @settings(max_examples=120, deadline=None)
 @given(
-    algorithm=st.sampled_from(sorted(BLOCKS)),
-    market=markets(),
+    data=st.data(),
     firm_mode=st.sampled_from(["certain", "uncertain"]),
     horizon=st.integers(1, 150),
     replications=st.integers(1, 5),
     split=st.integers(1, 5),
     base_seed=st.integers(0, 10**6),
     stride=st.integers(1, 30),
+    lam=st.floats(0, 1, exclude_min=True, exclude_max=True),
 )
 def test_blocks_equal_scalar_replications(
-    algorithm, market, firm_mode, horizon, replications, split, base_seed, stride
+    algorithm, data, firm_mode, horizon, replications, split, base_seed, stride, lam
 ):
+    market = data.draw(markets(crowded=algorithm == "eancdrr"), label="market")
     config = block_config(algorithm=algorithm, horizon=horizon, replications=replications,
-                          base_seed=base_seed, firm_mode=firm_mode, stride=stride)
+                          base_seed=base_seed, firm_mode=firm_mode, stride=stride,
+                          lam=lam if algorithm == "eancdrr" else None)
     split = min(split, replications)
     blocks = [range(0, split)] + ([range(split, replications)] if split < replications else [])
-    outs = [out for block in blocks for out in BLOCKS[algorithm](config, market, block)]
-    assert outs == [run_market_replication(config, market, rep) for rep in range(replications)]
+    with ExitStack() as stack:
+        if market.m < market.n:
+            baselines = ((0.5,) * market.n, (0.4,) * market.n)
+            for module in (lockstep, runner):
+                stack.enter_context(
+                    mock.patch.object(module, "market_baselines", lambda market: baselines)
+                )
+        outs = [out for block in blocks for out in BLOCKS[algorithm](config, market, block)]
+        assert outs == [run_market_replication(config, market, rep)
+                        for rep in range(replications)]
 
 
 @pytest.mark.parametrize("algorithm", sorted(BLOCKS))
@@ -130,9 +155,12 @@ GAUSSIAN = {"generator": {"n": 2, "m": 3, "min_gap": 0.2, "market_seed": 1,
     ({"algorithm": "drr", "log_rounds": True}, True),
     ({"algorithm": "drr", "market": GAUSSIAN}, True),
     ({"algorithm": "ancdrr"}, True),
-    ({"algorithm": "eancdrr", "lambda": 0.5}, True),
+    ({"algorithm": "eancdrr", "lambda": 0.5}, False),
+    ({"algorithm": "eancdrr", "lambda": 0.5, "firm_mode": "certain"}, False),
+    ({"algorithm": "eancdrr", "lambda": 0.5, "log_rounds": True}, True),
+    ({"algorithm": "eancdrr", "lambda": 0.5, "market": GAUSSIAN}, True),
 ])
-def test_runner_picks_lockstep_for_bernoulli_cia_and_drr_without_logs(
+def test_runner_picks_lockstep_for_bernoulli_cia_drr_and_eancdrr_without_logs(
     monkeypatch, tmp_path, overrides, scalar
 ):
     calls = []
@@ -149,7 +177,8 @@ def test_runner_picks_lockstep_for_bernoulli_cia_and_drr_without_logs(
 
 @pytest.mark.parametrize("algorithm", sorted(BLOCKS))
 def test_uneven_worker_blocks_write_identical_artifacts(tmp_path, algorithm):
-    config = config_from_dict(_raw(algorithm=algorithm, replications=5))
+    extra = {"lambda": 0.5} if algorithm == "eancdrr" else {}
+    config = config_from_dict(_raw(algorithm=algorithm, replications=5, **extra))
     run_experiment(config, out_dir=str(tmp_path / "one"), workers=1)
     run_experiment(config, out_dir=str(tmp_path / "two"), workers=2)  # blocks of 2 and 3
     names = sorted(p.name for p in (tmp_path / "one").iterdir())

@@ -339,6 +339,23 @@ class TestMarketFile:
         with pytest.raises(MarketError, match=f"market key '{key}'"):
             market_from_dict(d)
 
+    @pytest.mark.parametrize("key, value", [
+        ("n", True), ("n", "1"), ("n", 1.0), ("m", False), ("m", "1"),
+        ("agent_means", [True]), ("agent_means", ["0.5"]), ("firm_means", [[False]]),
+        ("sigma", True), ("sigma", "0.1"),
+    ])
+    def test_booleans_and_numeric_strings_name_the_key(self, key, value):
+        d = {"n": 1, "m": 1, "agent_means": [0.5], "firm_means": [0.5], key: value}
+        with pytest.raises(MarketError, match=f"market key '{key}'"):
+            market_from_dict(d)
+
+    def test_integer_means_and_sigma_load_as_floats(self):
+        d = {"n": 1, "m": 2, "agent_means": [1, 0], "firm_means": [[0.5], [0]], "sigma": 1,
+             "reward_kind": "gaussian"}
+        market = market_from_dict(d)
+        assert market.agent_means == ((1.0, 0.0),) and market.firm_means == ((0.5,), (0.0,))
+        assert type(market.reward_model.sigma) is float
+
     @pytest.mark.parametrize("text", ["{not json", "[]", "\udcff"])
     def test_load_rejects_what_is_not_a_market_object(self, tmp_path, text):
         path = tmp_path / "market.json"
