@@ -10,7 +10,7 @@ from .config import load_config
 from .errors import ConfigError, MarketError, SizeError
 from .market import enumerate_stable_matchings, load_market
 from .named_markets import EXAMPLE_NAMES
-from .runner import run_experiment
+from .runner import resolve_out_dir, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,7 +44,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             config = load_config(args.config)
             summary = run_experiment(config, out_dir=args.out, workers=args.workers)
-            out = args.out or config.out_dir or "out (or $INTERVIEW_MARKETS_OUT)"
+            out = resolve_out_dir(config, args.out)
             print(f"wrote {summary['replications']} replication series to {out}")
             return 0
         if args.command == "validate":

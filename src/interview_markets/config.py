@@ -365,7 +365,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not text
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")

@@ -20,7 +20,6 @@ of the rejection itself never re-opens the firm.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,7 +42,7 @@ class DrrState:
 
 
 @dataclass
-class _OpenFirms:
+class AncdrrState:
     """A coordination-free agent's firm bookkeeping: the round of its last
     non-strategic rejection by each firm (0 = never), and whether that firm
     changed hands strictly after it."""
@@ -53,12 +52,7 @@ class _OpenFirms:
 
 
 @dataclass
-class AncdrrState(_OpenFirms):
-    prev_apply: Optional[int] = None  # fallback target when no firm is open
-
-
-@dataclass
-class EancdrrState(_OpenFirms):
+class EancdrrState(AncdrrState):
     anchor: Optional[int] = None  # firm last held, or first applied to
 
 
@@ -77,21 +71,16 @@ def drr_candidate_set(r: list[int], t_gs: int, t: int, agent: int) -> tuple[int,
     return cand
 
 
-def ancdrr_candidate_set(state: _OpenFirms) -> tuple[int, ...]:
-    """Firms never rejecting the agent, or re-opened by a later hiring change."""
-    return tuple(
-        f for f, (last, reopened) in enumerate(zip(state.r, state.reopened))
-        if last == 0 or reopened
-    )
-
-
-def _best_open_firm(order, state: _OpenFirms) -> Optional[int]:
-    """First firm of ``order`` in ``ancdrr_candidate_set(state)``, or None."""
+def _best_open_firm(order, state: AncdrrState, t: int, agent: int) -> int:
+    """First firm of ``order`` that never rejected the agent or changed hands
+    since it last did. On a market with m >= n there always is one: a firm
+    still closed to the agent has held one other agent without a break since
+    it rejected it, so at most n - 1 < m firms are closed."""
     r, reopened = state.r, state.reopened
     for f in order:
         if r[f] == 0 or reopened[f]:
             return f
-    return None
+    raise ProtocolError(f"agent {agent} has no open firm", t)
 
 
 class CoordinatedPolicy:
@@ -183,22 +172,17 @@ class CoordinatedPolicy:
 class CoordinationFreePolicy:
     """Hiring-change-feedback learner; no cross-agent coordination."""
 
-    def __init__(self, n: int, m: int, agent_est, events: Optional[Counter] = None):
+    def __init__(self, n: int, m: int, agent_est):
         self.n = n
         self.m = m
         self.agent_est = agent_est
         self.states = [AncdrrState([0] * m, [False] * m) for _ in range(n)]
-        self.events = Counter() if events is None else events
 
     def plan(self, t: int) -> list[AgentPlan]:
         plans = []
         for i, st in enumerate(self.states):
             rr = round_robin_firm(i, t, self.m)
-            target = _best_open_firm(self.agent_est.pref_list(i), st)
-            if target is None:
-                self.events["empty_candidate_anomalies"] += 1
-                target = st.prev_apply if st.prev_apply is not None else rr
-            st.prev_apply = target
+            target = _best_open_firm(self.agent_est.pref_list(i), st, t, i)
             plans.append(AgentPlan((target, rr), (target,)))
         return plans
 
@@ -211,10 +195,7 @@ class ExtendedCoordinationFreePolicy:
     previous anchor otherwise, and apply to both so losing the probe does not
     vacate the anchor."""
 
-    def __init__(
-        self, n: int, m: int, agent_est, lam: float, rng: random.Random,
-        events: Optional[Counter] = None,
-    ):
+    def __init__(self, n: int, m: int, agent_est, lam: float, rng: random.Random):
         if not 0.0 < lam < 1.0:
             raise ParameterError(f"lambda must be in (0, 1), got {lam}")
         self.n = n
@@ -223,16 +204,12 @@ class ExtendedCoordinationFreePolicy:
         self.lam = lam
         self.rng = rng
         self.states = [EancdrrState([0] * m, [False] * m) for _ in range(n)]
-        self.events = Counter() if events is None else events
 
     def plan(self, t: int) -> list[AgentPlan]:
         plans = []
         for i, st in enumerate(self.states):
             rr = round_robin_firm(i, t, self.m)
-            target = _best_open_firm(self.agent_est.pref_list(i), st)
-            if target is None:
-                self.events["empty_candidate_anomalies"] += 1
-                target = st.anchor if st.anchor is not None else rr
+            target = _best_open_firm(self.agent_est.pref_list(i), st, t, i)
             anchor = st.anchor
             if anchor is None:
                 plans.append(AgentPlan((target, rr), (target,)))
@@ -258,7 +235,7 @@ class ExtendedCoordinationFreePolicy:
 
 
 def _apply_v_events_then_rejections(
-    states: list[_OpenFirms], t: int, feedback: AgentFeedback
+    states: list[AncdrrState], t: int, feedback: AgentFeedback
 ) -> None:
     """Order matters: this round's hiring changes re-open firms first, then
     this round's rejections close them again, so a firm that rejected the

@@ -358,10 +358,10 @@ def run_eancdrr_block(config, market: Market, reps: Sequence[int]) -> list[RepOu
     ``decentral.ExtendedCoordinationFreePolicy`` and
     ``firms.StrategicFirmPolicy`` as masks: each agent targets the first firm
     under its live keys that never rejected it or was reopened since
-    (``_best_open_firm``), falling back to its anchor, else its round-robin
-    firm; an anchored agent whose target is not its anchor probes with
-    probability lambda, applying to the target and then the anchor, and
-    otherwise applies to the anchor alone. Firms decide by
+    (``_best_open_firm``, which raises when there is none); an anchored
+    agent whose target is not its anchor probes with probability lambda,
+    applying to the target and then the anchor, and otherwise applies to
+    the anchor alone. Firms decide by
     :meth:`_FirmPolicy.decide`, an agent with two offers takes its first
     application's, and the feedback follows
     ``decentral._apply_v_events_then_rejections``.
@@ -386,12 +386,11 @@ def run_eancdrr_block(config, market: Market, reps: Sequence[int]) -> list[RepOu
 
     for t in range(1, config.horizon + 1):
         is_open = (r == 0) | reopened
+        nonempty = is_open.any(-1)
+        if not nonempty.all():
+            i, a = np.argwhere(~nonempty)[0]
+            raise ProtocolError(f"replication {blk.reps[i]}: agent {a} has no open firm", t)
         target = np.where(is_open, live, np.inf).argmin(-1)  # (R, n)
-        empty = ~is_open.any(-1)
-        if empty.any():
-            blk.events["empty_candidate_anomalies"] += empty.sum(1)
-            fallback = np.where(anchor >= 0, anchor, blk._rr[t % m])
-            target = np.where(empty, fallback, target)
         anchored = anchor >= 0
         # one lambda draw per anchored agent whose target is not its anchor,
         # in agent order, from the replication's policy stream
@@ -438,7 +437,7 @@ def run_eancdrr_block(config, market: Market, reps: Sequence[int]) -> list[RepOu
         prev_hold = hold
 
     # V' is a subset of V and |V'| >= m - n by construction (each agent holds
-    # at most one firm), collisions are counted for cia alone, and certain
-    # firms choose within their pools, so they never abstain: those events
-    # never happen here
+    # at most one firm), collisions are counted for cia alone, agents always
+    # keep an open firm (or raise), and certain firms choose within their
+    # pools, so they never abstain: those events never happen here
     return blk.outputs()

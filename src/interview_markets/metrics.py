@@ -127,7 +127,7 @@ INVARIANTS = (
     "gamma_zero_rounds",
     "certain_gamma_violations",
     "consecutive_abstentions",
-    "empty_candidate_anomalies",
+    "empty_candidate_anomalies",  # 0 by construction: no engine counts it, an empty set raises
 )
 
 
@@ -148,7 +148,6 @@ class RunRecorder:
         expect_no_collisions: bool = False,
         certain_firms: bool = False,
         retain_rounds: Optional[Sequence[int]] = None,
-        events: Optional[Counter] = None,
     ):
         self.market = market
         n = market.n
@@ -164,7 +163,7 @@ class RunRecorder:
         self._base_pess = tuple(baseline_pess)
         self.expect_no_collisions = expect_no_collisions
         self.certain_firms = certain_firms
-        self.events = Counter() if events is None else events
+        self.events: Counter = Counter()
         self._prev_gamma: Sequence[int] = (1,) * market.m
         self._prev_pool: Sequence[int] = (0,) * market.m
         self.outcomes: Optional[list[RoundOutcome]] = None

@@ -13,7 +13,6 @@ import json
 import multiprocessing
 import os
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -79,18 +78,16 @@ class RepOutput:
     firm_log: list = field(default_factory=list)
 
 
-def _market_policy(
-    config: ExperimentConfig, market: Market, agent_est, firm_est, policy_rng, events
-):
+def _market_policy(config: ExperimentConfig, market: Market, agent_est, firm_est, policy_rng):
     n, m = market.n, market.m
     if config.algorithm == "cia":
         return CentralAllocator(n, m, agent_est, firm_est)
     if config.algorithm == "drr":
         return CoordinatedPolicy(n, m, agent_est)
     if config.algorithm == "ancdrr":
-        return CoordinationFreePolicy(n, m, agent_est, events)
+        return CoordinationFreePolicy(n, m, agent_est)
     if config.algorithm == "eancdrr":
-        return ExtendedCoordinationFreePolicy(n, m, agent_est, config.lam, policy_rng, events)
+        return ExtendedCoordinationFreePolicy(n, m, agent_est, config.lam, policy_rng)
     raise ConfigError(f"not a market algorithm: {config.algorithm}")
 
 
@@ -112,8 +109,7 @@ def run_market_replication(
         if config.firm_mode == "certain"
         else EstimatorState(m, n)
     )
-    events = Counter()  # the replication's invariant events, from policy and recorder
-    policy = _market_policy(config, market, agent_est, firm_est, policy_rng, events)
+    policy = _market_policy(config, market, agent_est, firm_est, policy_rng)
     firm_policy = StrategicFirmPolicy(n, m, config.firm_mode)
     base_opt, base_pess = market_baselines(market)
     retain = checkpoint_rounds(config.horizon, config.stride)
@@ -124,7 +120,6 @@ def run_market_replication(
         expect_no_collisions=config.algorithm == "cia",
         certain_firms=config.firm_mode == "certain",
         retain_rounds=retain,
-        events=events,
     )
     if config.log_rounds:
         recorder.keep_outcomes()
@@ -145,7 +140,7 @@ def run_market_replication(
         rows=recorder.stored_rows(),
         converged_round=result.converged_round,
         final_matching=result.final_matching.agent_match,
-        events={name: events[name] for name in INVARIANTS},
+        events={name: recorder.events[name] for name in INVARIANTS},
     )
     if hasattr(policy, "phase_log"):
         out.phase_log = list(policy.phase_log)
@@ -282,6 +277,8 @@ def run_experiment(
     workers: int = 1,
 ) -> dict:
     """Execute all replications, write CSV/JSON artifacts, return the summary."""
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     out = resolve_out_dir(config, out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -314,7 +311,7 @@ def _run_market_experiment(config: ExperimentConfig, out: Path, workers: int) ->
         # fork, so that they share the loaded module
         from . import lockstep  # noqa: F401
 
-        k = max(1, min(workers, count))
+        k = min(workers, count)
         blocks = [range(count * i // k, count * (i + 1) // k) for i in range(k)]
     else:
         blocks = [range(rep, rep + 1) for rep in range(count)]

@@ -184,8 +184,6 @@ def test_criterion_03_golden_examples():
     firm_est = OracleEstimator(market.firm_means)
     policy = CoordinationFreePolicy(2, 2, agent_est)
     policy.states[1].r[1] = 1
-    policy.states[0].prev_apply = 1
-    policy.states[1].prev_apply = 1
     outcomes = []
     run_horizon(
         market, agent_est, firm_est, policy, StrategicFirmPolicy(2, 2, "certain"),

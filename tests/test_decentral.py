@@ -5,15 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from interview_markets.decentral import (
-    AncdrrState,
     CoordinatedPolicy,
     CoordinationFreePolicy,
     ExtendedCoordinationFreePolicy,
-    ancdrr_candidate_set,
     drr_candidate_set,
 )
 from interview_markets.engine import AgentFeedback, run_horizon
-from interview_markets.errors import ParameterError
+from interview_markets.errors import ParameterError, ProtocolError
 from interview_markets.estimation import EstimatorState, OracleEstimator
 from interview_markets.firms import StrategicFirmPolicy
 from interview_markets.market import (
@@ -54,23 +52,31 @@ class TestDrrCandidateSet:
         assert drr_candidate_set([6, 0, 0], 5, 7, 0) == (1, 2)
 
 
-class TestAncdrrCandidateSet:
-    def test_reopened_firm_is_candidate(self):
-        assert ancdrr_candidate_set(AncdrrState([5, 0], [True, False])) == (0, 1)
-
-    def test_closed_firm_excluded(self):
-        assert ancdrr_candidate_set(AncdrrState([5, 0], [False, False])) == (1,)
-
-    def test_round_one_has_all_firms(self):
-        assert ancdrr_candidate_set(AncdrrState([0] * 3, [False] * 3)) == (0, 1, 2)
+def coordination_free_policies(n, m, est):
+    return (
+        CoordinationFreePolicy(n, m, est),
+        ExtendedCoordinationFreePolicy(n, m, est, 0.5, random.Random(0)),
+    )
 
 
 class TestAncdrrScan:
-    """Both coordination-free policies pick argmax over ancdrr_candidate_set."""
+    """Both coordination-free policies target the agent's best firm among
+    those that never rejected it or were reopened since, and raise a
+    ProtocolError for an agent with none."""
+
+    @pytest.mark.parametrize("r, reopened, target", [
+        ([5, 0], [True, False], 0),  # a reopened firm is open
+        ([5, 0], [False, False], 1),  # a closed firm is skipped
+        ([0, 0], [False, False], 0),  # round one: every firm is open
+    ])
+    def test_open_firms(self, r, reopened, target):
+        for policy in coordination_free_policies(1, 2, OracleEstimator([[0.9, 0.5]])):
+            policy.states[0].r, policy.states[0].reopened = r, reopened
+            assert policy.plan(5)[0].interviews[0] == target
 
     @settings(max_examples=100, deadline=None)
     @given(hs.data())
-    def test_scan_equals_argmax_over_candidates(self, data):
+    def test_scan_equals_argmax_over_open_firms(self, data):
         n = data.draw(hs.integers(1, 3), label="n")
         m = data.draw(hs.integers(n, 6), label="m")
         est = EstimatorState(n, m)
@@ -87,22 +93,19 @@ class TestAncdrrScan:
         )
         for owner, peer, value in records:
             est.record(owner, peer, value)
-        for policy in (
-            CoordinationFreePolicy(n, m, est),
-            ExtendedCoordinationFreePolicy(n, m, est, 0.5, random.Random(0)),
-        ):
-            for state in policy.states:
+        for policy in coordination_free_policies(n, m, est):
+            expected = []
+            for i, state in enumerate(policy.states):
                 state.r = data.draw(hs.lists(hs.integers(0, 3), min_size=m, max_size=m))
                 state.reopened = data.draw(hs.lists(hs.booleans(), min_size=m, max_size=m))
-            plans = policy.plan(5)
-            empty = 0
-            for i, (plan, state) in enumerate(zip(plans, policy.states)):
-                cand = ancdrr_candidate_set(state)
-                if cand:
-                    assert plan.interviews[0] == est.argmax(i, cand)
-                else:
-                    empty += 1
-            assert policy.events["empty_candidate_anomalies"] == empty
+                cand = tuple(f for f in range(m) if state.r[f] == 0 or state.reopened[f])
+                expected.append(est.argmax(i, cand) if cand else None)
+            if None in expected:  # hand-set states can close every firm
+                message = f"round 5: agent {expected.index(None)} has no open firm"
+                with pytest.raises(ProtocolError, match=message):
+                    policy.plan(5)
+            else:
+                assert [plan.interviews[0] for plan in policy.plan(5)] == expected
 
 
 class TestCoordinatedPhases:
@@ -247,8 +250,6 @@ class TestAncdrrCycle:
         policy = CoordinationFreePolicy(2, 2, agent_est)
         policy.states[1].r[1] = 1  # agent 1 rejected by firm 1 pre-horizon
         policy.states[1].reopened[1] = False
-        policy.states[0].prev_apply = 1
-        policy.states[1].prev_apply = 1
         return policy
 
     def test_period_two_cycle_with_oracle_estimates(self):
@@ -314,15 +315,12 @@ class TestAncdrrCycle:
         )
         assert violations == []
 
-    def test_empty_candidate_fallback(self):
-        agent_est = OracleEstimator([[0.9, 0.5]])
-        policy = CoordinationFreePolicy(1, 2, agent_est)
-        policy.states[0].r = [3, 4]
-        policy.states[0].reopened = [False, False]
-        policy.states[0].prev_apply = 1
-        plans = policy.plan(5)
-        assert plans[0].applications == (1,)
-        assert policy.events["empty_candidate_anomalies"] == 1
+    def test_no_open_firm_is_a_protocol_error(self):
+        for policy in coordination_free_policies(1, 2, OracleEstimator([[0.9, 0.5]])):
+            policy.states[0].r = [3, 4]
+            policy.states[0].reopened = [False, False]
+            with pytest.raises(ProtocolError, match="round 5: agent 0 has no open firm"):
+                policy.plan(5)
 
 
 class TestExtended:

@@ -118,10 +118,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="'stride'"):
             config_from_dict(base_config(stride=None))
 
-    def test_load_config_reports_bad_json(self, tmp_path):
+    @pytest.mark.parametrize("data", [b"{not json", b"\xff\xfe"], ids=["syntax", "not-utf8"])
+    def test_load_config_reports_bad_json(self, tmp_path, data):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError, match="JSON"):
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match="is not valid JSON"):
             load_config(path)
 
 
@@ -665,12 +666,27 @@ class TestCli:
         assert "2 stable matching(s)" in out
         assert "a1-f1" in out and "a1-f2" in out
 
-    def test_run_end_to_end(self, tmp_path, capsys):
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_run_end_to_end(self, tmp_path, monkeypatch, capsys, via):
         path = self.write_config(tmp_path, horizon=50, replications=1)
         out_dir = tmp_path / "artifacts"
-        assert cli_main(["run", str(path), "--out", str(out_dir)]) == 0
+        if via == "flag":
+            args = ["run", str(path), "--out", str(out_dir)]
+        else:
+            monkeypatch.setenv("INTERVIEW_MARKETS_OUT", str(out_dir))
+            args = ["run", str(path)]
+        assert cli_main(args) == 0
         assert (out_dir / "summary.json").exists()
         assert (out_dir / "manifest.json").exists()
+        assert capsys.readouterr().out == f"wrote 1 replication series to {out_dir}\n"
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_run_rejects_workers_below_one_in_one_line(self, tmp_path, capsys, workers):
+        path = self.write_config(tmp_path, horizon=50, replications=1)
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out_dir), "--workers", workers]) == 2
+        assert capsys.readouterr().err == f"error: workers must be at least 1, got {workers}\n"
+        assert not out_dir.exists()
 
     def test_console_script_installed(self):
         proc = subprocess.run(

@@ -1,11 +1,9 @@
 """Lockstep ``cia``, ``drr`` and ``eancdrr`` blocks against the scalar engine,
-replication by replication."""
+replication by replication, and the scalar ``ancdrr`` on the same markets."""
 
 import json
-from contextlib import ExitStack
 from dataclasses import asdict
 from types import SimpleNamespace
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,12 +20,11 @@ from interview_markets.runner import run_experiment, run_market_replication
 
 
 @st.composite
-def markets(draw, crowded=False):
+def markets(draw):
     """Small markets with strict preferences; means on a 0.05 grid, 0 and 1
-    included. ``crowded`` also draws more agents than firms, as a plain
-    namespace, since Market rejects those."""
+    included."""
     n = draw(st.integers(1, 4))
-    m = draw(st.integers(1 if crowded else n, 6))
+    m = draw(st.integers(n, 6))
 
     def rows(count, width):
         return tuple(
@@ -36,10 +33,7 @@ def markets(draw, crowded=False):
             for _ in range(count)
         )
 
-    if m >= n:
-        return Market(rows(n, m), rows(m, n))
-    return SimpleNamespace(n=n, m=m, agent_means=rows(n, m), firm_means=rows(m, n),
-                           reward_model=RewardModel())
+    return Market(rows(n, m), rows(m, n))
 
 
 BLOCKS = {"cia": run_cia_block, "drr": run_drr_block, "eancdrr": run_eancdrr_block}
@@ -55,11 +49,7 @@ def block_config(**fields):
 
 # drr's phases last 3 n^2 rounds (48 for n = 4), so horizons up to 150 see
 # commits and resets by every trigger, strategic abstentions included.
-# eancdrr sees probes, declined offers, reopenings and abstentions there too;
-# its empty candidate sets take more agents than firms (with m >= n a vacant
-# firm reopens for every agent, and a held firm reopened when it hired), so
-# its markets may be crowded, with baselines set by hand since
-# market_baselines needs every agent matched.
+# eancdrr sees probes, declined offers, reopenings and abstentions there too.
 @pytest.mark.parametrize("algorithm", sorted(BLOCKS))
 @settings(max_examples=120, deadline=None)
 @given(
@@ -75,22 +65,29 @@ def block_config(**fields):
 def test_blocks_equal_scalar_replications(
     algorithm, data, firm_mode, horizon, replications, split, base_seed, stride, lam
 ):
-    market = data.draw(markets(crowded=algorithm == "eancdrr"), label="market")
+    market = data.draw(markets(), label="market")
     config = block_config(algorithm=algorithm, horizon=horizon, replications=replications,
                           base_seed=base_seed, firm_mode=firm_mode, stride=stride,
                           lam=lam if algorithm == "eancdrr" else None)
     split = min(split, replications)
     blocks = [range(0, split)] + ([range(split, replications)] if split < replications else [])
-    with ExitStack() as stack:
-        if market.m < market.n:
-            baselines = ((0.5,) * market.n, (0.4,) * market.n)
-            for module in (lockstep, runner):
-                stack.enter_context(
-                    mock.patch.object(module, "market_baselines", lambda market: baselines)
-                )
-        outs = [out for block in blocks for out in BLOCKS[algorithm](config, market, block)]
-        assert outs == [run_market_replication(config, market, rep)
-                        for rep in range(replications)]
+    outs = [out for block in blocks for out in BLOCKS[algorithm](config, market, block)]
+    assert outs == [run_market_replication(config, market, rep) for rep in range(replications)]
+
+
+# ancdrr has no block to equal, so this checks only that its agents always
+# keep an open firm on the markets Market accepts, as _best_open_firm argues.
+@settings(max_examples=120, deadline=None)
+@given(
+    market=markets(),
+    firm_mode=st.sampled_from(["certain", "uncertain"]),
+    horizon=st.integers(1, 150),
+    base_seed=st.integers(0, 10**6),
+)
+def test_scalar_ancdrr_always_has_an_open_firm(market, firm_mode, horizon, base_seed):
+    config = block_config(algorithm="ancdrr", horizon=horizon, replications=1,
+                          base_seed=base_seed, firm_mode=firm_mode)
+    run_market_replication(config, market, 0)
 
 
 @pytest.mark.parametrize("algorithm", sorted(BLOCKS))
@@ -116,22 +113,27 @@ def test_unmatched_agent_is_a_protocol_error(monkeypatch):
         run_cia_block(block_config(), named_example("coordfgs"), range(2))
 
 
-@pytest.mark.parametrize("engine, where", [
-    (lambda config, market: run_drr_block(config, market, range(1, 3)), "replication 1: "),
-    (lambda config, market: run_market_replication(config, market, 1), ""),
-], ids=["lockstep", "scalar"])
-def test_empty_candidate_set_is_a_protocol_error(monkeypatch, engine, where):
-    # With m >= n a drr agent always keeps a candidate firm, so this takes a
+@pytest.mark.parametrize("algorithm, engine", [
+    ("drr", "lockstep"), ("drr", "scalar"), ("eancdrr", "lockstep"), ("eancdrr", "scalar"),
+    ("ancdrr", "scalar"),
+])
+def test_empty_candidate_set_is_a_protocol_error(monkeypatch, algorithm, engine):
+    # With m >= n every agent always keeps a candidate firm, so this takes a
     # market of two agents and one firm, which Market itself would reject:
     # the firm hires agent 0 in round 1, and agent 1 has no firm left.
     market = SimpleNamespace(n=2, m=1, agent_means=((0.5,), (0.4,)),
                              firm_means=((0.5, 0.4),), reward_model=RewardModel())
     for module in (lockstep, runner):
         monkeypatch.setattr(module, "market_baselines", lambda market: ((0.5, 0.4), (0.5, 0.4)))
-    config = block_config(algorithm="drr", firm_mode="certain")
-    message = f"round 2: {where}agent 1 has an empty candidate set in coordinated phase"
-    with pytest.raises(ProtocolError, match=message):
-        engine(config, market)
+    config = block_config(algorithm=algorithm, firm_mode="certain")
+    where = "replication 1: " if engine == "lockstep" else ""
+    reason = ("has an empty candidate set in coordinated phase" if algorithm == "drr"
+              else "has no open firm")
+    with pytest.raises(ProtocolError, match=f"round 2: {where}agent 1 {reason}"):
+        if engine == "lockstep":
+            BLOCKS[algorithm](config, market, range(1, 3))
+        else:
+            run_market_replication(config, market, 1)
 
 
 def _raw(**overrides):
