@@ -17,14 +17,12 @@ from .market import (  # noqa: F401
     generate_market,
     ground_truth_prefs,
     load_market,
-    sample_reward,
     save_market,
 )
 from .estimation import (  # noqa: F401
     EstimatorState,
     OracleEstimator,
     ValidityReport,
-    topk_aligned,
     validity,
 )
 from .engine import AgentFeedback, AgentPlan, RoundOutcome, run_horizon  # noqa: F401

@@ -9,6 +9,7 @@ from . import __version__
 from .config import load_config
 from .errors import ConfigError, MarketError, SizeError
 from .market import enumerate_stable_matchings, load_market
+from .metrics import min_gaps
 from .named_markets import EXAMPLE_NAMES
 from .runner import resolve_out_dir, run_experiment
 
@@ -68,6 +69,9 @@ def main(argv: list[str] | None = None) -> int:
             worst = " ".join(f"a{a + 1}:f{f + 1}" for a, f in enumerate(stable_set.worst_partner))
             print(f"agent-optimal partners: {best}")
             print(f"agent-pessimal partners: {worst}")
+            for side, gaps in zip(("agent", "firm"), min_gaps(market, stable_set.best_partner)):
+                cells = " ".join(f"{side[0]}{i + 1}:{g:.4g}" for i, g in enumerate(gaps))
+                print(f"{side} minimum gaps: {cells}")
             return 0
     except (ConfigError, MarketError, SizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

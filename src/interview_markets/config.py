@@ -24,7 +24,7 @@ Schema (all unknown keys rejected)::
 Generator params: n, m, min_gap, alpha_reducible (bool), reward_kind, sigma,
 market_seed (defaults to base_seed). They must be feasible:
 ``1 <= n <= m`` and ``0 < min_gap`` with ``min_gap * m < 1``. A Gaussian
-reward model, from the generator or with arms, needs ``sigma > 0``.
+reward model, from any market source or arms, needs a finite ``sigma > 0``.
 
 Integer fields take JSON numbers without a fractional part, real fields
 (``min_gap``, ``sigma``, ``lambda``, ``epsilon``, arms) only finite JSON

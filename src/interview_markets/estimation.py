@@ -142,9 +142,3 @@ def validity(est_list: PrefList, truth_list: PrefList, target: int) -> ValidityR
     offending = tuple(p for p in est_above if p not in truth_above)
     return ValidityReport(not offending, offending)
 
-
-def topk_aligned(est_list: PrefList, truth_list: PrefList, k: int) -> bool:
-    """Do the two lists agree element-wise and order-wise on the top k?"""
-    if not 1 <= k <= len(truth_list):
-        raise ValueError(f"k must be in 1..{len(truth_list)}, got {k}")
-    return est_list[:k] == truth_list[:k]

@@ -21,7 +21,9 @@ Every replication's :class:`RepOutput` equals the one
   a masked ``argmin`` gives ``estimation.first_in`` over a candidate set,
   its first-occurrence rule breaking ties by index;
 - convergence is ``engine.run_horizon``'s agent-perfect streak, and the
-  retained rounds are ``runner.checkpoint_rounds``.
+  retained rounds are ``runner.checkpoint_rounds``;
+- list validity (``RunRecorder.invalid``) is read off the same argsort
+  lists at ``runner.summary_checkpoints``, after the round's interviews.
 
 ``engine.run_horizon`` is the reference; the runner sends only Bernoulli
 ``cia``, ``drr`` and ``eancdrr`` configs without per-round logs here.
@@ -41,7 +43,8 @@ from .decentral import drr_phase_length
 from .errors import ProtocolError
 from .market import Market, _deferred_acceptance, rank_order
 from .metrics import INVARIANTS
-from .runner import RepOutput, checkpoint_rounds, market_baselines, replication_streams
+from .runner import (RepOutput, checkpoint_rounds, market_baselines, replication_streams,
+                     summary_checkpoints)
 
 class _Estimates:
     """Sums and counts of one side for a block, as flat ``(R, owners, peers)``
@@ -70,8 +73,8 @@ class _Estimates:
 
 class _Block:
     """What every lockstep block keeps: each replication's reward stream,
-    both sides' estimates, the regret sums, the convergence streaks and the
-    invariant event counts."""
+    both sides' estimates, the regret sums and validity flags, the
+    convergence streaks and the invariant event counts."""
 
     def __init__(self, config, market: Market, reps: Sequence[int]):
         self.config, self.reps = config, list(reps)
@@ -98,10 +101,16 @@ class _Block:
         self.firm_est = _Estimates((R, m, n))
         self._rr = [round_robin_firm(self.agents, t, m) for t in range(m)]  # by t mod m
 
-        self._bases = np.array(market_baselines(market))[:, None, :]  # (2, 1, n): opt, pess
+        best, opt, pess = market_baselines(market)
+        self._bases = np.array([opt, pess])[:, None, :]  # (2, 1, n)
         self._retain = frozenset(checkpoint_rounds(config.horizon, config.stride))
         self._cum = np.zeros((4, R, n))  # realized opt, pess; pseudo opt, pess
         self._stored: list[np.ndarray] = []
+        # RunRecorder.invalid: some firm truly worse than the best partner is listed above it
+        self._best = np.array(best)[:, None]  # (n, 1)
+        self._worse = self.agent_means < self.agent_means[self.agents, best][:, None]
+        self._checks = frozenset(summary_checkpoints(config.horizon))
+        self._invalid: list[np.ndarray] = []
         # first round of each replication's agent-perfect streak, 0 if none
         self._streak = np.zeros(R, dtype=np.int64)
         self._last = np.full((R, n), -2)  # no round yet
@@ -149,6 +158,10 @@ class _Block:
         cum[2:] += self._bases - mean
         if t in self._retain:
             self._stored.append(cum.copy())
+        if t in self._checks:
+            lists = self.agent_est.lists()  # (R, n, m)
+            above = (lists == self._best).cumsum(-1) == 0  # listed before the best partner
+            self._invalid.append((above & self._worse[self.agents[:, None], lists]).any(-1))
 
         changed = match != self._last
         if changed.any():
@@ -161,6 +174,7 @@ class _Block:
         marks = sorted(self._retain)
         rows = np.array(self._stored).transpose(2, 0, 1, 3).tolist()  # (R, marks, 4, n)
         counts = {name: values.tolist() for name, values in self.events.items()}
+        invalid = np.array(self._invalid, dtype=int).transpose(1, 0, 2).tolist()  # (R, checks, n)
         streak, last = self._streak.tolist(), self._last.tolist()
         return [
             RepOutput(
@@ -170,6 +184,7 @@ class _Block:
                 converged_round=streak[i] or None,
                 final_matching=tuple(f if f >= 0 else None for f in last[i]),
                 events={name: values[i] for name, values in counts.items()},
+                invalid={t: tuple(flags) for t, flags in zip(sorted(self._checks), invalid[i])},
                 phase_log=phase_logs[i] if phase_logs else [],
             )
             for i, rep in enumerate(self.reps)

@@ -44,8 +44,8 @@ class RewardModel:
     def __post_init__(self):
         if self.kind not in REWARD_KINDS:
             raise MarketError(f"unknown reward kind {self.kind!r}")
-        if self.kind == "gaussian" and self.sigma <= 0:
-            raise MarketError("gaussian reward model needs sigma > 0")
+        if self.kind == "gaussian" and not 0 < self.sigma < math.inf:  # NaN fails too
+            raise MarketError(f"gaussian reward model needs 0 < sigma < inf, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -448,22 +448,6 @@ def draw_reward(mean: float, model: RewardModel, rng: random.Random) -> float:
             return mean + z
 
 
-def sample_reward(
-    market: Market, side: str, pair: tuple[int, int], rng: random.Random
-) -> float:
-    """Draw from D_{a,f} (side='agent') or D_{f,a} (side='firm'); pair=(agent, firm)."""
-    a, f = pair
-    if not (0 <= a < market.n and 0 <= f < market.m):
-        raise InputError(f"pair {pair} out of range for {market.n}x{market.m} market")
-    if side == "agent":
-        mean = market.agent_means[a][f]
-    elif side == "firm":
-        mean = market.firm_means[f][a]
-    else:
-        raise InputError(f"side must be 'agent' or 'firm', got {side!r}")
-    return draw_reward(mean, market.reward_model, rng)
-
-
 def market_to_dict(market: Market) -> dict:
     """JSON-ready form; matrices row-major flat, indices implicit."""
     d = {
@@ -485,6 +469,8 @@ def _mean_rows(flat, rows: int, width: int) -> tuple[tuple[float, ...], ...]:
         if len(flat) != rows * width:
             raise ValueError("row-major mean arrays must have n*m entries")
         flat = [flat[i * width : (i + 1) * width] for i in range(rows)]
+    elif len(flat) != rows or any(len(row) != width for row in flat):
+        raise ValueError(f"nested mean arrays must have {rows} rows of {width} entries")
     return tuple(tuple(_number(u) for u in row) for row in flat)
 
 

@@ -1,75 +1,30 @@
-"""Regret accounting, reward gaps, plateau ratios and validity instrumentation."""
+"""Regret accounting, list validity, plateau ratios, and the minimum reward
+gaps (the paper's Δ) that set each agent's and firm's regret scale."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from .engine import RoundOutcome
 from .estimation import validity
-from .market import Market, PrefList, StableSet, ground_truth_prefs
+from .market import Market, ground_truth_prefs
 
 
-@dataclass(frozen=True)
-class GapTable:
-    """Absolute mean differences to the stable baselines, both sides.
+def min_gaps(market: Market, best: Sequence[int]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Each agent's and firm's least distance from the mean of its partner in
+    the agent-optimal stable matching ``best`` to any other peer's, 0 with no
+    other peer; a firm that matching leaves vacant measures from 0."""
 
-    Firm-side gaps pair crosswise with the lattice: a firm's optimal-side
-    baseline is its partner in the agent-optimal matching (the firm-pessimal
-    one) and vice versa. Firms left unmatched by the stable set use the
-    vacancy utility 0 as baseline.
-    """
+    def gap(row, partner):
+        base = row[partner] if partner is not None else 0.0
+        return min((abs(base - u) for j, u in enumerate(row) if j != partner), default=0.0)
 
-    agent_optimal: tuple[tuple[float, ...], ...]
-    agent_pessimal: tuple[tuple[float, ...], ...]
-    firm_optimal: tuple[tuple[float, ...], ...]
-    firm_pessimal: tuple[tuple[float, ...], ...]
-    agent_min_gap: tuple[float, ...]
-    firm_min_gap: tuple[float, ...]
-
-
-def gap_table(market: Market, stable_set: StableSet) -> GapTable:
-    n, m = market.n, market.m
-    agent_opt_rows, agent_pess_rows, a_min = [], [], []
-    for a in range(n):
-        u = market.agent_means[a]
-        base_o = u[stable_set.best_partner[a]]
-        base_p = u[stable_set.worst_partner[a]]
-        row_o = tuple(abs(base_o - u[f]) for f in range(m))
-        row_p = tuple(abs(base_p - u[f]) for f in range(m))
-        agent_opt_rows.append(row_o)
-        agent_pess_rows.append(row_p)
-        a_min.append(min(g for f, g in enumerate(row_o) if f != stable_set.best_partner[a]) if m > 1 else 0.0)
-
-    # firm partners under the two lattice extremes
-    def partner_of_firm(extreme: str) -> list[Optional[int]]:
-        partners: list[Optional[int]] = [None] * m
-        source = stable_set.best_partner if extreme == "agent_optimal" else stable_set.worst_partner
-        for a, f in enumerate(source):
-            partners[f] = a
-        return partners
-
-    in_agent_opt = partner_of_firm("agent_optimal")
-    in_agent_pess = partner_of_firm("agent_pessimal")
-    firm_opt_rows, firm_pess_rows, f_min = [], [], []
-    for f in range(m):
-        u = market.firm_means[f]
-        base_o = u[in_agent_opt[f]] if in_agent_opt[f] is not None else 0.0
-        base_p = u[in_agent_pess[f]] if in_agent_pess[f] is not None else 0.0
-        firm_opt_rows.append(tuple(abs(base_o - u[a]) for a in range(n)))
-        firm_pess_rows.append(tuple(abs(base_p - u[a]) for a in range(n)))
-        anchor = in_agent_opt[f]
-        others = [abs(base_o - u[a]) for a in range(n) if a != anchor]
-        f_min.append(min(others) if others else 0.0)
-    return GapTable(
-        tuple(agent_opt_rows),
-        tuple(agent_pess_rows),
-        tuple(firm_opt_rows),
-        tuple(firm_pess_rows),
-        tuple(a_min),
-        tuple(f_min),
-    )
+    holder = {f: a for a, f in enumerate(best)}
+    agent_min_gap = tuple(gap(row, best[a]) for a, row in enumerate(market.agent_means))
+    firm_min_gap = tuple(gap(row, holder.get(f)) for f, row in enumerate(market.firm_means))
+    return agent_min_gap, firm_min_gap
 
 
 @dataclass(frozen=True)
@@ -85,35 +40,6 @@ def plateau_from_values(early: float, late: float) -> PlateauResult:
     if early < 1.0:
         return PlateauResult(1.0 if late <= early + 1.0 else float("inf"), True)
     return PlateauResult(late / early, False)
-
-
-def count_invalid_rounds(
-    est_lists: Sequence[PrefList], truth_list: PrefList, target: int
-) -> int:
-    """How many of the recorded estimated lists are invalid for the target."""
-    return sum(1 for lst in est_lists if not validity(lst, truth_list, target).valid)
-
-
-class InvalidityCounter:
-    """Online invalid-round counter for chosen (owner, target) pairs.
-
-    ``side`` is "agent" or "firm"; owners index into that side's estimator.
-    """
-
-    def __init__(self, market: Market, pairs: Sequence[tuple[str, int, int]]):
-        agent_truth, firm_truth = ground_truth_prefs(market)
-        self._truth = {"agent": agent_truth, "firm": firm_truth}
-        self.pairs = tuple(pairs)
-        self.counts = {pair: 0 for pair in self.pairs}
-        self.rounds = 0
-
-    def observe(self, agent_est, firm_est) -> None:
-        self.rounds += 1
-        for side, owner, target in self.pairs:
-            est = agent_est if side == "agent" else firm_est
-            lst = est.pref_list(owner)
-            if not validity(lst, self._truth[side][owner], target).valid:
-                self.counts[(side, owner, target)] += 1
 
 
 SERIES_KINDS = ("optimal", "pessimal", "pseudo_optimal", "pseudo_pessimal")
@@ -132,12 +58,14 @@ INVARIANTS = (
 
 
 class RunRecorder:
-    """Aggregates one replication: regret series, invariants, logs.
+    """Aggregates one replication: regret series, invariants, list validity, logs.
 
     Checks every round, adding each failure to ``events``: the vacancy set
     is contained in the hiring-change set, at least m-n firms are vacant, at
     most one application per firm when `expect_no_collisions`, gamma stays 1
-    in certain mode, and no firm abstains twice in a row.
+    in certain mode, and no firm abstains twice in a row. At each of
+    ``validity_rounds``, ``invalid[t]`` flags (1) every agent whose list in
+    ``agent_est`` is invalid for its agent-optimal stable partner ``best``.
     """
 
     def __init__(
@@ -145,6 +73,9 @@ class RunRecorder:
         market: Market,
         baseline_opt: Sequence[float],
         baseline_pess: Sequence[float],
+        agent_est,
+        best: Sequence[int],
+        validity_rounds: Collection[int],
         expect_no_collisions: bool = False,
         certain_firms: bool = False,
         retain_rounds: Optional[Sequence[int]] = None,
@@ -161,6 +92,9 @@ class RunRecorder:
         self._cum_pseudo_pess = [0.0] * n
         self._base_opt = tuple(baseline_opt)
         self._base_pess = tuple(baseline_pess)
+        self._agent_est, self._targets = agent_est, list(zip(ground_truth_prefs(market)[0], best))
+        self._validity_rounds = frozenset(validity_rounds)
+        self.invalid: dict[int, tuple[int, ...]] = {}
         self.expect_no_collisions = expect_no_collisions
         self.certain_firms = certain_firms
         self.events: Counter = Counter()
@@ -187,6 +121,12 @@ class RunRecorder:
         t = outcome.t
         if self._retain is None or t in self._retain:
             self._stored[t] = (tuple(co), tuple(cp), tuple(cpo), tuple(cpp))
+        if t in self._validity_rounds:
+            est = self._agent_est
+            self.invalid[t] = tuple(
+                int(not validity(est.pref_list(a), truth, b).valid)
+                for a, (truth, b) in enumerate(self._targets)
+            )
 
         events = self.events
         if not outcome.vprime <= outcome.v:

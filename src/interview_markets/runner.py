@@ -55,14 +55,16 @@ def summary_checkpoints(T: int) -> list[int]:
     return sorted(marks)
 
 
-def market_baselines(market: Market) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Optimal/pessimal stable-partner means via the two deferred-acceptance runs."""
+def market_baselines(
+    market: Market,
+) -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]:
+    """Agent-optimal partners, and optimal/pessimal partner means, by deferred acceptance."""
     agent_prefs, firm_prefs = ground_truth_prefs(market)
     best = gale_shapley(agent_prefs, firm_prefs, "agents").agent_match
     worst = gale_shapley(agent_prefs, firm_prefs, "firms").agent_match
     opt = tuple(market.agent_means[a][best[a]] for a in range(market.n))
     pess = tuple(market.agent_means[a][worst[a]] for a in range(market.n))
-    return opt, pess
+    return best, opt, pess
 
 
 @dataclass
@@ -73,6 +75,7 @@ class RepOutput:
     converged_round: Optional[int]
     final_matching: tuple
     events: dict[str, int]  # every name in INVARIANTS -> its count
+    invalid: dict[int, tuple[int, ...]]  # summary checkpoint t -> RunRecorder.invalid[t]
     phase_log: list = field(default_factory=list)
     round_log: list = field(default_factory=list)
     firm_log: list = field(default_factory=list)
@@ -111,12 +114,15 @@ def run_market_replication(
     )
     policy = _market_policy(config, market, agent_est, firm_est, policy_rng)
     firm_policy = StrategicFirmPolicy(n, m, config.firm_mode)
-    base_opt, base_pess = market_baselines(market)
+    best, base_opt, base_pess = market_baselines(market)
     retain = checkpoint_rounds(config.horizon, config.stride)
     recorder = RunRecorder(
         market,
         base_opt,
         base_pess,
+        agent_est,
+        best,
+        summary_checkpoints(config.horizon),
         expect_no_collisions=config.algorithm == "cia",
         certain_firms=config.firm_mode == "certain",
         retain_rounds=retain,
@@ -141,6 +147,7 @@ def run_market_replication(
         converged_round=result.converged_round,
         final_matching=result.final_matching.agent_match,
         events={name: recorder.events[name] for name in INVARIANTS},
+        invalid=recorder.invalid,
     )
     if hasattr(policy, "phase_log"):
         out.phase_log = list(policy.phase_log)
@@ -374,6 +381,9 @@ def _run_market_experiment(config: ExperimentConfig, out: Path, workers: int) ->
         series_stats[kind] = {"mean": mean, "stderr": err}
         mean_rows[kind] = np.asarray(mean)  # (marks, agents)
 
+    mean, err = _mean_stderr(np.array([[r.invalid[t] for t in marks] for r in reps]))
+    invalid_lists = {"mean": mean, "stderr": err}  # (marks, agents), as each regret kind
+
     plateaus = {
         kind: [_plateau(mean_rows[kind][:, a], marks, T) for a in range(n)]
         for kind in ("pseudo_optimal", "pseudo_pessimal")
@@ -407,6 +417,7 @@ def _run_market_experiment(config: ExperimentConfig, out: Path, workers: int) ->
         "checkpoints": marks,
         "plateau_window": [max(1, T // 10), T],
         "regret": series_stats,
+        "invalid_lists": invalid_lists,
         "plateau": plateaus,
         "convergence": {
             "fraction": sum(1 for c in converged if c is not None) / len(converged),

@@ -63,9 +63,9 @@ class TestAllocatorRuns:
             agent_est = EstimatorState(3, 3)
             firm_est = EstimatorState(3, 3)
             policy = CentralAllocator(3, 3, agent_est, firm_est)
-            base = market_baselines(market)
+            best, base_opt, base_pess = market_baselines(market)
             recorder = RunRecorder(
-                market, base[0], base[1],
+                market, base_opt, base_pess, agent_est, best, (),
                 expect_no_collisions=True, retain_rounds=[2000],
             )
             run_horizon(

@@ -123,9 +123,9 @@ class TestCoordinatedPhases:
         )
         policy = CoordinatedPolicy(n, m, agent_est)
         firm_policy = StrategicFirmPolicy(n, m, firm_mode)
-        base_opt, base_pess = market_baselines(market)
+        best, base_opt, base_pess = market_baselines(market)
         recorder = RunRecorder(
-            market, base_opt, base_pess, certain_firms=firm_mode == "certain",
+            market, base_opt, base_pess, agent_est, best, (), certain_firms=firm_mode == "certain",
             retain_rounds=[T],
         )
         result = run_horizon(

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import numpy as np
@@ -14,7 +13,6 @@ from interview_markets.estimation import (
     OracleEstimator,
     _sort_key,
     first_in,
-    topk_aligned,
     validity,
 )
 
@@ -172,38 +170,6 @@ class TestValidity:
         report = validity((2, 0, 1), (0, 1, 2), 0)
         assert not report.valid
         assert report.offending == (2,)
-
-
-class TestTopKAlignment:
-    def test_exact_estimate(self):
-        for k in (1, 2, 3):
-            assert topk_aligned((0, 1, 2), (0, 1, 2), k)
-
-    def test_tail_swap(self):
-        assert topk_aligned((0, 2, 1), (0, 1, 2), 1)
-        assert not topk_aligned((0, 2, 1), (0, 1, 2), 2)
-
-    def test_full_length_alignment_is_equality(self):
-        assert topk_aligned((2, 0, 1), (2, 0, 1), 3)
-        assert not topk_aligned((2, 1, 0), (2, 0, 1), 3)
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            topk_aligned((0, 1), (0, 1), 0)
-        with pytest.raises(ValueError):
-            topk_aligned((0, 1), (0, 1), 3)
-
-    @pytest.mark.parametrize("size", [2, 3, 4, 5])
-    def test_equivalence_with_validity(self, size):
-        # alignment of the top k is the same as validity w.r.t. every member
-        # of the true top k; exhaustive over all estimates (truth fixed to
-        # the identity order, which is w.l.o.g. up to relabeling)
-        truth = tuple(range(size))
-        for est in itertools.permutations(range(size)):
-            for k in range(1, size + 1):
-                aligned = topk_aligned(est, truth, k)
-                all_valid = all(validity(est, truth, f).valid for f in truth[:k])
-                assert aligned == all_valid, (est, k)
 
 
 class TestInvalidRoundsUnderRoundRobin:

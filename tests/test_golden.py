@@ -29,17 +29,17 @@ ARMS = {"arms": [0.3, 0.2, 0.1, 0.05, 0.02]}
 
 GOLDEN = {
     ("drr", "certain"):
-        "e72fa35322e9886e85193a3cc53122710b319e06883ac4e602e615511582a187",
+        "7cd48d4010a4f2d4367aab7502750ef13710543aae283b28045a673c2a5bab75",
     ("drr", "uncertain"):
-        "534b476b7cd54ac8c7aa6eec31bc30c8c675be42d1f1b8c6cf896805ad25e1d5",
+        "3437821a9b5dec88b53bf18d84c41b066ae2bd111afc4fc93d760ede49ec4cce",
     ("ancdrr", "certain"):
-        "80f92e85208dbd694d7f2c39aaf1e5f197ad1f8b5d933481c71c80405281d27b",
+        "ab65a5472c902e7bced9b19dc4c4383a51e975a3493fde27cc6f99e3ba8d9984",
     ("ancdrr", "uncertain"):
-        "f6187643c45f19b85aa6987e0d9d8ff663e3d59bd80a622f9b9afc24bc314e48",
+        "8678f4c096db650991b339f04c5f2489c534702fafdcded5fec5f6975105b3f3",
     ("eancdrr", "certain"):
-        "0ea0b0506a564468a45a3acd8714da72c17c5fdc1ae53dc46beb7e6f6b3305dd",
+        "7df0c40fc99c5fa202333d16deecf2b423c81e50ff79799f004287236796a633",
     ("eancdrr", "uncertain"):
-        "b815b8d90bd870167502511d5654699463588f40cacb2e7dad2f9d73031784da",
+        "9af0d049d41c5d6fb0cd86ff802b3db714f2af2f6b11ac4011018f7b78f29231",
     ("allprobe", None):
         "e450adbe36f10281e52c9b8aacead9d28a91d2d412b0bca98f5b4cbcfce40006",
     ("apem", None):
@@ -90,7 +90,7 @@ def test_scalar_engine_matches_golden_digest(algorithm, firm_mode, tmp_path, mon
 
 # ancdrr with uncertain firms, logging every round: its firms abstain, so the
 # gamma column of firms_rep*.csv holds zeros
-LOGGED_GOLDEN = "e80302a148aa7651da243e47ed9c0ecc8dd72f067ee89daaf151065f4499a047"
+LOGGED_GOLDEN = "600eaf7c59e3d03f32f0c56ac0c6f24e877e3cce4febc27f751a85d592be4349"
 
 
 def test_round_logs_match_golden_digest(tmp_path):

@@ -22,6 +22,7 @@ from interview_markets.config import (
 )
 from interview_markets.errors import ConfigError
 from interview_markets.market import (
+    Market,
     RewardModel,
     enumerate_stable_matchings,
     gale_shapley,
@@ -665,6 +666,26 @@ class TestCli:
         out = capsys.readouterr().out
         assert "2 stable matching(s)" in out
         assert "a1-f1" in out and "a1-f2" in out
+
+    def test_stable_prints_minimum_gaps(self, tmp_path, capsys):
+        # agent 0 holds firm 0 in the agent-optimal matching and firm 1 stays vacant
+        market_path = tmp_path / "market.json"
+        save_market(Market(((0.9, 0.5),), ((0.5,), (0.4,))), market_path)
+        assert cli_main(["stable", str(market_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == ["agent minimum gaps: a1:0.4", "firm minimum gaps: f1:0 f2:0.4"]
+
+    def test_validate_rejects_nan_sigma_in_market_file_in_one_line(self, tmp_path, capsys):
+        (tmp_path / "market.json").write_text(
+            '{"n": 1, "m": 2, "agent_means": [0.9, 0.1], "firm_means": [0.5, 0.4],'
+            ' "reward_kind": "gaussian", "sigma": NaN}'
+        )
+        path = self.write_config(tmp_path, algorithm="ancdrr", horizon=5,
+                                 market={"file": "market.json"})
+        assert cli_main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: config field 'market.file'") and "sigma" in err
 
     @pytest.mark.parametrize("via", ["flag", "env"])
     def test_run_end_to_end(self, tmp_path, monkeypatch, capsys, via):

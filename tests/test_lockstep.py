@@ -124,7 +124,8 @@ def test_empty_candidate_set_is_a_protocol_error(monkeypatch, algorithm, engine)
     market = SimpleNamespace(n=2, m=1, agent_means=((0.5,), (0.4,)),
                              firm_means=((0.5, 0.4),), reward_model=RewardModel())
     for module in (lockstep, runner):
-        monkeypatch.setattr(module, "market_baselines", lambda market: ((0.5, 0.4), (0.5, 0.4)))
+        monkeypatch.setattr(module, "market_baselines",
+                            lambda market: ((0, 0), (0.5, 0.4), (0.5, 0.4)))
     config = block_config(algorithm=algorithm, firm_mode="certain")
     where = "replication 1: " if engine == "lockstep" else ""
     reason = ("has an empty candidate set in coordinated phase" if algorithm == "drr"

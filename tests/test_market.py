@@ -12,6 +12,7 @@ from interview_markets.market import (
     RewardModel,
     alpha_reducibility,
     blocking_pairs,
+    draw_reward,
     enumerate_stable_matchings,
     gale_shapley,
     generate_alpha_reducible,
@@ -20,7 +21,6 @@ from interview_markets.market import (
     load_market,
     market_from_dict,
     market_to_dict,
-    sample_reward,
     save_market,
 )
 from interview_markets.named_markets import EXAMPLE_NAMES, named_example
@@ -232,36 +232,30 @@ class TestGenerators:
             generate_alpha_reducible(2, 2, 0.2, random.Random(5))
 
 
-class TestSampleReward:
+class TestDrawReward:
     def test_bernoulli_endpoints(self):
-        market = Market(((1.0, 0.0),), ((0.5,), (0.4,)))
         rng = random.Random(0)
-        assert sample_reward(market, "agent", (0, 0), rng) == 1.0
-        assert sample_reward(market, "agent", (0, 1), rng) == 0.0
+        assert draw_reward(1.0, RewardModel(), rng) == 1.0
+        assert draw_reward(0.0, RewardModel(), rng) == 0.0
 
     def test_point_mass(self):
-        market = Market(((0.7, 0.2),), ((0.5,), (0.4,)), RewardModel("point"))
-        assert sample_reward(market, "agent", (0, 0), random.Random(0)) == 0.7
+        assert draw_reward(0.7, RewardModel("point"), random.Random(0)) == 0.7
 
     def test_bernoulli_long_run_mean(self):
-        market = Market(((0.6, 0.1),), ((0.5,), (0.4,)))
         rng = random.Random(123)
-        draws = sum(sample_reward(market, "agent", (0, 0), rng) for _ in range(100_000))
+        draws = sum(draw_reward(0.6, RewardModel(), rng) for _ in range(100_000))
         assert abs(draws / 100_000 - 0.6) < 0.01  # ~6 sigma of the CLT bound
 
     def test_gaussian_long_run_mean_and_support(self):
-        market = Market(((0.8, 0.1),), ((0.5,), (0.4,)), RewardModel("gaussian", 0.1))
-        rng = random.Random(7)
-        values = [sample_reward(market, "agent", (0, 0), rng) for _ in range(50_000)]
+        model, rng = RewardModel("gaussian", 0.1), random.Random(7)
+        values = [draw_reward(0.8, model, rng) for _ in range(50_000)]
         assert all(0.0 <= v <= 1.0 for v in values)
         assert abs(sum(values) / len(values) - 0.8) < 0.005
 
-    def test_bad_pair(self):
-        market = Market(((0.7, 0.2),), ((0.5,), (0.4,)))
-        with pytest.raises(InputError):
-            sample_reward(market, "agent", (0, 5), random.Random(0))
-        with pytest.raises(InputError):
-            sample_reward(market, "sideways", (0, 0), random.Random(0))
+    @pytest.mark.parametrize("sigma", [0.0, -0.1, float("nan"), float("inf")])
+    def test_gaussian_sigma_must_be_finite_and_positive(self, sigma):
+        with pytest.raises(MarketError, match="0 < sigma < inf"):
+            RewardModel("gaussian", sigma)
 
 
 @st.composite
@@ -334,6 +328,15 @@ class TestMarketFile:
         ({"n": 1, "m": 1, "agent_means": [0.5], "firm_means": [0.5], "sigma": "wide"},
          "sigma"),
         ({"n": 2, "m": 2, "agent_means": [0.1], "firm_means": [0.1]}, "agent_means"),
+        # nested rows: exactly n rows of m agent means, m rows of n firm means
+        ({"n": 2, "m": 3, "agent_means": [[0.1, 0.2, 0.3]] * 3,
+          "firm_means": [[0.1, 0.2, 0.3]] * 3}, "agent_means"),
+        ({"n": 2, "m": 3, "agent_means": [[0.1, 0.2, 0.3]] * 2,
+          "firm_means": [[0.1, 0.2, 0.3]] * 3}, "firm_means"),
+        ({"n": 2, "m": 2, "agent_means": [[0.1, 0.2], [0.3]], "firm_means": [0.1] * 4},
+         "agent_means"),
+        ({"n": 1, "m": 1, "agent_means": [[0.5]], "firm_means": [[0.5], [0.4]]},
+         "firm_means"),
     ])
     def test_malformed_entry_names_the_key(self, d, key):
         with pytest.raises(MarketError, match=f"market key '{key}'"):
@@ -348,6 +351,14 @@ class TestMarketFile:
         d = {"n": 1, "m": 1, "agent_means": [0.5], "firm_means": [0.5], key: value}
         with pytest.raises(MarketError, match=f"market key '{key}'"):
             market_from_dict(d)
+
+    def test_nan_sigma_in_a_file_is_an_error(self, tmp_path):
+        # json reads the NaN literal; a NaN sigma would make draw_reward loop forever
+        path = tmp_path / "market.json"
+        path.write_text('{"n": 1, "m": 2, "agent_means": [0.9, 0.1], "firm_means": [0.5, 0.4],'
+                        ' "reward_kind": "gaussian", "sigma": NaN}')
+        with pytest.raises(MarketError, match="0 < sigma < inf, got nan"):
+            load_market(path)
 
     def test_integer_means_and_sigma_load_as_floats(self):
         d = {"n": 1, "m": 2, "agent_means": [1, 0], "firm_means": [[0.5], [0]], "sigma": 1,

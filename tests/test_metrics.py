@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interview_markets.central import CentralAllocator
+from interview_markets.config import config_from_dict
 from interview_markets.engine import AgentPlan, RoundOutcome, run_horizon
 from interview_markets.estimation import EstimatorState, OracleEstimator
 from interview_markets.firms import StrategicFirmPolicy
@@ -14,24 +14,17 @@ from interview_markets.market import (
     Matching,
     enumerate_stable_matchings,
     generate_alpha_reducible,
-    ground_truth_prefs,
 )
-from interview_markets.metrics import (
-    InvalidityCounter,
-    RunRecorder,
-    count_invalid_rounds,
-    gap_table,
-    plateau_from_values,
-)
+from interview_markets.metrics import RunRecorder, min_gaps, plateau_from_values
 from interview_markets.named_markets import named_example
-from interview_markets.runner import market_baselines
+from interview_markets.runner import market_baselines, run_experiment
 
 
 def record_rewards(base_opt, base_pess, rewards, firm=0):
     """The series of a one-agent RunRecorder fed one round per reward, matched
     to ``firm``, as an array (round, kind in SERIES_KINDS order, agent)."""
     market = Market(((0.9, 0.5),), ((0.5,), (0.4,)))
-    recorder = RunRecorder(market, (base_opt,), (base_pess,))
+    recorder = RunRecorder(market, (base_opt,), (base_pess,), EstimatorState(1, 2), (0,), ())
     vacant = frozenset({0, 1}) - {firm}
     for t, x in enumerate(rewards, 1):
         apps = ((0,),) if firm is not None else ((),)
@@ -65,32 +58,26 @@ class TestRegretSeries:
         assert np.allclose(opt - pess, t * (base_opt - base_pess))
 
 
-class TestGapTable:
+class TestMinGaps:
     def test_simple_agent_gap(self):
         market = Market(((0.9, 0.5),), ((0.5,), (0.4,)))
-        table = gap_table(market, enumerate_stable_matchings(market))
-        assert table.agent_optimal[0][1] == pytest.approx(0.4)
-        assert table.agent_optimal[0][0] == 0.0
+        agent_gaps, firm_gaps = min_gaps(market, (0,))
+        assert agent_gaps == pytest.approx((0.4,))
+        # firm 1 stays vacant, so its gap is measured from the vacancy utility 0
+        assert firm_gaps == (0.0, 0.4)
 
-    def test_drrs4_uses_lattice_extremes(self):
+    def test_gaps_are_positive_and_skip_the_partner(self):
         market = named_example("drrs4")
-        stable_set = enumerate_stable_matchings(market)
-        table = gap_table(market, stable_set)
-        u = market.agent_means[0]
-        # agent 1's optimal baseline is firm 1, pessimal baseline firm 3
-        assert table.agent_optimal[0] == tuple(abs(u[0] - u[f]) for f in range(3))
-        assert table.agent_pessimal[0] == tuple(abs(u[2] - u[f]) for f in range(3))
+        best = enumerate_stable_matchings(market).best_partner
+        agent_gaps, firm_gaps = min_gaps(market, best)
+        for a, row in enumerate(market.agent_means):
+            assert agent_gaps[a] == min(abs(row[best[a]] - u) for f, u in enumerate(row)
+                                        if f != best[a]) > 0
+        assert len(firm_gaps) == market.m and min(firm_gaps) > 0
 
-    def test_unique_market_gaps_coincide(self):
-        market = named_example("coordfgs")
-        table = gap_table(market, enumerate_stable_matchings(market))
-        assert table.agent_optimal == table.agent_pessimal
-
-    def test_min_gap_skips_baseline(self):
-        market = named_example("coordfgs")
-        table = gap_table(market, enumerate_stable_matchings(market))
-        for a in range(3):
-            assert table.agent_min_gap[a] > 0
+    def test_no_other_peer_is_zero(self):
+        market = Market(((0.7,),), ((0.6,),))
+        assert min_gaps(market, (0,)) == ((0.0,), (0.0,))
 
 
 class ScriptedPolicy:
@@ -155,48 +142,21 @@ class TestPlateauRatio:
         assert res.ratio == float("inf")
 
 
-class TestInvalidityCounter:
-    def test_oracle_estimates_never_invalid(self):
-        market = named_example("coordfgs")
-        counter = InvalidityCounter(market, [("agent", 0, 0), ("firm", 1, 1)])
-        oracle_a = OracleEstimator(market.agent_means)
-        oracle_f = OracleEstimator(market.firm_means)
-        for _ in range(50):
-            counter.observe(oracle_a, oracle_f)
-        assert all(v == 0 for v in counter.counts.values())
-
-    def test_persistent_swap_counts_rounds(self):
-        truth = (0, 1, 2)
-        swapped = (2, 0, 1)
-        assert count_invalid_rounds([swapped] * 5, truth, 0) == 5
-        assert count_invalid_rounds([truth] * 5 + [swapped] * 5, truth, 0) == 5
-
-    def test_cia_run_invalidity_dies_out(self):
-        rng = random.Random(424242)
-        market = generate_alpha_reducible(3, 3, 0.2, rng)
-        agent_prefs, _ = ground_truth_prefs(market)
-        stable_set = enumerate_stable_matchings(market)
-        pairs = [("agent", a, stable_set.best_partner[a]) for a in range(3)]
-        counter = InvalidityCounter(market, pairs)
-        agent_est = EstimatorState(3, 3)
-        firm_est = EstimatorState(3, 3)
-        policy = CentralAllocator(3, 3, agent_est, firm_est)
-        T = 100_000
-        halves = {0: dict.fromkeys(counter.counts, 0)}
-
-        def watch(outcome):
-            counter.observe(agent_est, firm_est)
-            if outcome.t == T // 2:
-                halves[0] = dict(counter.counts)
-
-        run_horizon(
-            market, agent_est, firm_est, policy,
-            StrategicFirmPolicy(3, 3, "uncertain"), T, random.Random(1), watch,
-        )
-        first = sum(halves[0].values())
-        second = sum(counter.counts.values()) - first
-        assert first > 0
-        assert second < max(1, 0.01 * first)
+class TestInvalidLists:
+    @pytest.mark.parametrize("algorithm", ["cia", "drr", "ancdrr", "eancdrr"])
+    def test_invalidity_dies_out(self, algorithm, tmp_path):
+        generator = {"n": 3, "m": 3, "min_gap": 0.2, "alpha_reducible": True,
+                     "market_seed": 424242}
+        raw = {"market": {"generator": generator}, "algorithm": algorithm,
+               "firm_mode": "uncertain", "horizon": 1000, "replications": 10,
+               "base_seed": 1, "stride": 1000}
+        if algorithm == "eancdrr":
+            raw["lambda"] = 0.5
+        summary = run_experiment(config_from_dict(raw), out_dir=str(tmp_path))
+        mean = summary["invalid_lists"]["mean"]
+        assert np.shape(mean) == np.shape(summary["regret"]["optimal"]["mean"]) == (4, 3)
+        assert max(mean[0]) > 0  # round 1: some agent lists an unseen firm too high
+        assert mean[-1] == [0.0, 0.0, 0.0]  # round T: every list is valid
 
 
 COUNTERS = (
@@ -260,7 +220,7 @@ class TestRunRecorderCounters:
         n, m, outcomes = case
         market = generate_alpha_reducible(n, m, 0.05, random.Random(1))
         recorder = RunRecorder(
-            market, [0.5] * n, [0.25] * n,
+            market, [0.5] * n, [0.25] * n, EstimatorState(n, m), range(n), (),
             expect_no_collisions=expect_no_collisions, certain_firms=certain,
         )
         for out in outcomes:
@@ -273,5 +233,5 @@ class TestRunRecorderCounters:
 class TestBaselines:
     def test_unique_market_series_identical(self):
         market = named_example("coordfgs")
-        base_opt, base_pess = market_baselines(market)
+        _, base_opt, base_pess = market_baselines(market)
         assert base_opt == base_pess
