@@ -22,7 +22,6 @@ from .market import (  # noqa: F401
 from .estimation import (  # noqa: F401
     EstimatorState,
     OracleEstimator,
-    ValidityReport,
     validity,
 )
 from .engine import AgentFeedback, AgentPlan, RoundOutcome, run_horizon  # noqa: F401

@@ -7,7 +7,7 @@ Schema (all unknown keys rejected)::
                                                    # or {"generator": {...}}
                                                    # or {"arms": [0.9, 0.5, ...]}
       "algorithm": "cia",        # cia|drr|ancdrr|eancdrr|allprobe|eap|apem
-      "firm_mode": "uncertain",  # certain|uncertain (market algorithms)
+      "firm_mode": "uncertain",  # certain|uncertain, market algorithms only
       "horizon": 50000,
       "replications": 50,
       "base_seed": 1,            # >= 0, as is market_seed
@@ -18,7 +18,7 @@ Schema (all unknown keys rejected)::
       "sigma": 0.1,                # arms mode only
       "out_dir": "out",          # optional non-empty string; env/flag can override
       "stride": 100,
-      "log_rounds": false
+      "log_rounds": false        # market algorithms only
     }
 
 Generator params: n, m, min_gap, alpha_reducible (bool), reward_kind, sigma,
@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -116,16 +116,7 @@ class ExperimentConfig:
         if self.market_example is not None:
             market["example"] = self.market_example
         if self.market_generator is not None:
-            g = self.market_generator
-            market["generator"] = {
-                "n": g.n,
-                "m": g.m,
-                "min_gap": g.min_gap,
-                "alpha_reducible": g.alpha_reducible,
-                "reward_kind": g.reward_kind,
-                "sigma": g.sigma,
-                "market_seed": g.market_seed,
-            }
+            market["generator"] = asdict(self.market_generator)
         if self.arms is not None:
             market["arms"] = list(self.arms)
         d = {
@@ -292,6 +283,9 @@ def config_from_dict(raw: dict, base_dir: Optional[Path] = None) -> ExperimentCo
     if stride < 1:
         _fail("stride", "must be >= 1")
 
+    for key in ("firm_mode", "log_rounds"):
+        if key in raw and algorithm not in MARKET_ALGORITHMS:
+            _fail(key, f"not applicable to algorithm {algorithm!r}")
     firm_mode = raw.get("firm_mode", "certain")
     if firm_mode not in ("certain", "uncertain"):
         _fail("firm_mode", "must be 'certain' or 'uncertain'")

@@ -1,4 +1,4 @@
-"""Empirical-mean estimators, estimated preference lists, validity diagnostics.
+"""Empirical-mean estimators, estimated preference lists, list validity.
 
 Estimated lists order never-observed peers first (optimistic), then by
 decreasing empirical mean, breaking ties by ascending peer index: the key
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Collection, Sequence
 
 from .errors import ObservationError
@@ -47,8 +46,6 @@ class EstimatorState:
     oracle = False
 
     def __init__(self, rows: int, cols: int):
-        self.rows = rows
-        self.cols = cols
         self.sums = [[0.0] * cols for _ in range(rows)]
         self.counts = [[0] * cols for _ in range(rows)]
         # each owner's current key per peer, and the same keys kept sorted
@@ -106,8 +103,6 @@ class OracleEstimator:
 
     def __init__(self, true_means: Sequence[Sequence[float]]):
         self._means = [list(row) for row in true_means]
-        self.rows = len(self._means)
-        self.cols = len(self._means[0]) if self._means else 0
         self._lists = [rank_order(row) for row in self._means]
 
     def record(self, owner: int, peer: int, value: float) -> "OracleEstimator":
@@ -129,16 +124,6 @@ class OracleEstimator:
         return self.pref_list(owner)
 
 
-@dataclass(frozen=True)
-class ValidityReport:
-    valid: bool
-    offending: tuple[int, ...]  # ranked above target in estimate, below in truth
-
-
-def validity(est_list: PrefList, truth_list: PrefList, target: int) -> ValidityReport:
+def validity(est_list: PrefList, truth_list: PrefList, target: int) -> bool:
     """Is the estimated set above `target` a subset of the true set above it?"""
-    est_above = est_list[: est_list.index(target)]
-    truth_above = set(truth_list[: truth_list.index(target)])
-    offending = tuple(p for p in est_above if p not in truth_above)
-    return ValidityReport(not offending, offending)
-
+    return set(est_list[: est_list.index(target)]) <= set(truth_list[: truth_list.index(target)])

@@ -57,6 +57,10 @@ INVARIANTS = (
 )
 
 
+def _joined(firms: Sequence[int]) -> str:
+    return ";".join(str(f + 1) for f in firms)
+
+
 class RunRecorder:
     """Aggregates one replication: regret series, invariants, list validity, logs.
 
@@ -66,6 +70,10 @@ class RunRecorder:
     in certain mode, and no firm abstains twice in a row. At each of
     ``validity_rounds``, ``invalid[t]`` flags (1) every agent whose list in
     ``agent_est`` is invalid for its agent-optimal stable partner ``best``.
+    At each of ``log_rounds``, ``round_log`` gains one row per agent (t,
+    1-based agent, interviewed and applied firms joined by ``;``, matched
+    firm or empty, reward) and ``firm_log`` one per firm (t, firm, gamma,
+    1 if vacant), firms 1-based.
     """
 
     def __init__(
@@ -79,6 +87,7 @@ class RunRecorder:
         expect_no_collisions: bool = False,
         certain_firms: bool = False,
         retain_rounds: Optional[Sequence[int]] = None,
+        log_rounds: Collection[int] = (),
     ):
         self.market = market
         n = market.n
@@ -100,11 +109,9 @@ class RunRecorder:
         self.events: Counter = Counter()
         self._prev_gamma: Sequence[int] = (1,) * market.m
         self._prev_pool: Sequence[int] = (0,) * market.m
-        self.outcomes: Optional[list[RoundOutcome]] = None
-
-    def keep_outcomes(self) -> "RunRecorder":
-        self.outcomes = []
-        return self
+        self._log_rounds = frozenset(log_rounds)
+        self.round_log: list[tuple] = []
+        self.firm_log: list[tuple] = []
 
     def __call__(self, outcome: RoundOutcome) -> None:
         market = self.market
@@ -124,8 +131,18 @@ class RunRecorder:
         if t in self._validity_rounds:
             est = self._agent_est
             self.invalid[t] = tuple(
-                int(not validity(est.pref_list(a), truth, b).valid)
+                int(not validity(est.pref_list(a), truth, b))
                 for a, (truth, b) in enumerate(self._targets)
+            )
+        if t in self._log_rounds:
+            agents = zip(outcome.interviews, outcome.applications,
+                         outcome.matching.agent_match, outcome.rewards)
+            self.round_log.extend(
+                (t, a, _joined(ivs), _joined(apps), "" if f is None else f + 1, x)
+                for a, (ivs, apps, f, x) in enumerate(agents, 1)
+            )
+            self.firm_log.extend(
+                (t, f + 1, g, int(f in outcome.vprime)) for f, g in enumerate(outcome.gamma)
             )
 
         events = self.events
@@ -153,8 +170,6 @@ class RunRecorder:
                         events["consecutive_abstentions"] += 1
             self._prev_pool = pool_sizes
         self._prev_gamma = gamma
-        if self.outcomes is not None:
-            self.outcomes.append(outcome)
 
     # -- results -----------------------------------------------------------
     def stored_rows(self) -> dict[int, tuple]:

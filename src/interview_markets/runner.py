@@ -115,32 +115,31 @@ def run_market_replication(
     policy = _market_policy(config, market, agent_est, firm_est, policy_rng)
     firm_policy = StrategicFirmPolicy(n, m, config.firm_mode)
     best, base_opt, base_pess = market_baselines(market)
-    retain = checkpoint_rounds(config.horizon, config.stride)
+    T, stride = config.horizon, config.stride
     recorder = RunRecorder(
         market,
         base_opt,
         base_pess,
         agent_est,
         best,
-        summary_checkpoints(config.horizon),
+        summary_checkpoints(T),
         expect_no_collisions=config.algorithm == "cia",
         certain_firms=config.firm_mode == "certain",
-        retain_rounds=retain,
+        retain_rounds=checkpoint_rounds(T, stride),
+        log_rounds=[*range(stride, T + 1, stride), T] if config.log_rounds else (),
     )
-    if config.log_rounds:
-        recorder.keep_outcomes()
     result = run_horizon(
         market,
         agent_est,
         firm_est,
         policy,
         firm_policy,
-        config.horizon,
+        T,
         reward_rng,
         recorder,
         interview_budget=3 if config.algorithm == "eancdrr" else 2,
     )
-    out = RepOutput(
+    return RepOutput(
         rep=rep,
         seed=seed,
         rows=recorder.stored_rows(),
@@ -148,31 +147,10 @@ def run_market_replication(
         final_matching=result.final_matching.agent_match,
         events={name: recorder.events[name] for name in INVARIANTS},
         invalid=recorder.invalid,
+        phase_log=getattr(policy, "phase_log", []),
+        round_log=recorder.round_log,
+        firm_log=recorder.firm_log,
     )
-    if hasattr(policy, "phase_log"):
-        out.phase_log = list(policy.phase_log)
-    if config.log_rounds and recorder.outcomes is not None:
-        stride = config.stride
-        for outcome in recorder.outcomes:
-            if outcome.t % stride and outcome.t != config.horizon:
-                continue
-            for a in range(n):
-                matched = outcome.matching.agent_match[a]
-                out.round_log.append(
-                    (
-                        outcome.t,
-                        a + 1,
-                        ";".join(str(f + 1) for f in outcome.interviews[a]),
-                        ";".join(str(f + 1) for f in outcome.applications[a]),
-                        "" if matched is None else matched + 1,
-                        outcome.rewards[a],
-                    )
-                )
-            for f in range(m):
-                out.firm_log.append(
-                    (outcome.t, f + 1, outcome.gamma[f], int(f in outcome.vprime))
-                )
-    return out
 
 
 _LOCKSTEP_BLOCKS = {  # in lockstep.py

@@ -105,10 +105,10 @@ class TestAllocatorRuns:
         class SpyAllocator(CentralAllocator):
             def plan(self, t):
                 self.valid_now = all(
-                    validity(agent_est.pref_list(a), agent_truth[a], best[a]).valid
+                    validity(agent_est.pref_list(a), agent_truth[a], best[a])
                     for a in range(3)
                 ) and all(
-                    validity(firm_est.pref_list(f), firm_truth[f], partner_of_firm[f]).valid
+                    validity(firm_est.pref_list(f), firm_truth[f], partner_of_firm[f])
                     for f in range(3)
                 )
                 return super().plan(t)

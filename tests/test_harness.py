@@ -13,6 +13,7 @@ from interview_markets.config import (
     _GENERATOR_KEYS,
     _TOP_KEYS,
     ALGORITHMS,
+    BANDIT_ALGORITHMS,
     MARKET_ALGORITHMS,
     ExperimentConfig,
     bandit_arms,
@@ -37,13 +38,14 @@ def base_config(**overrides):
     raw = {
         "market": {"example": "coordfgs"},
         "algorithm": "cia",
-        "firm_mode": "uncertain",
         "horizon": 400,
         "replications": 2,
         "base_seed": 5,
         "stride": 50,
     }
     raw.update(overrides)
+    if raw["algorithm"] in MARKET_ALGORITHMS:  # bandit configs reject firm_mode
+        raw.setdefault("firm_mode", "uncertain")
     return raw
 
 
@@ -315,6 +317,16 @@ class TestFieldApplicability:
         with pytest.raises(ConfigError, match="'target_rank': must be below the number of arms, 3"):
             run_experiment(config, out_dir=str(tmp_path))
 
+    @pytest.mark.parametrize("field, value", [
+        ("firm_mode", "certain"), ("firm_mode", "uncertain"), ("log_rounds", True),
+        ("log_rounds", False),
+    ])
+    @pytest.mark.parametrize("algorithm", BANDIT_ALGORITHMS)
+    def test_market_fields_not_applicable_to_bandits(self, algorithm, field, value):
+        raw = base_config(algorithm=algorithm, market=THREE_ARMS, **{field: value})
+        with pytest.raises(ConfigError, match=f"'{field}': not applicable to algorithm '{algorithm}'"):
+            config_from_dict(raw)
+
     def test_eap_target_rank_defaults_to_one(self):
         assert config_from_dict(base_config(algorithm="eap", market=THREE_ARMS)).target_rank == 1
 
@@ -477,14 +489,20 @@ class TestRunExperiment:
         lines = (tmp_path / "series_rep0000.csv").read_text().splitlines()
         assert len(lines) == 1 + 100 * 3  # header + one row per round per agent
 
-    def test_round_logs_written_on_request(self, tmp_path):
-        config = config_from_dict(base_config(horizon=60, replications=1, log_rounds=True, stride=20))
+    @pytest.mark.parametrize("horizon, logged", [(60, [20, 40, 60]), (50, [20, 40, 50])])
+    def test_round_logs_written_on_request(self, tmp_path, horizon, logged):
+        config = config_from_dict(
+            base_config(horizon=horizon, replications=1, log_rounds=True, stride=20)
+        )
         run_experiment(config, out_dir=str(tmp_path))
         rounds = (tmp_path / "rounds_rep0000.csv").read_text().splitlines()
         firms = (tmp_path / "firms_rep0000.csv").read_text().splitlines()
         assert rounds[0] == "t,agent,interviewed,applied,matched,reward"
         assert firms[0] == "t,firm,gamma,vacant"
-        assert len(rounds) == 1 + 3 * 3  # rounds 20, 40, 60 for three agents
+        # every stride-th round and the last, for each of three agents and firms
+        expected = [(t, k) for t in logged for k in (1, 2, 3)]
+        for lines in (rounds, firms):
+            assert [tuple(map(int, line.split(",")[:2])) for line in lines[1:]] == expected
 
     def test_drr_emits_phase_log(self, tmp_path):
         config = config_from_dict(base_config(algorithm="drr", horizon=300, replications=1))
@@ -586,6 +604,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: config field 'lambda'")
+
+    @pytest.mark.parametrize("field, value", [("firm_mode", "uncertain"), ("log_rounds", True)])
+    def test_validate_rejects_market_field_for_bandit_in_one_line(self, tmp_path, capsys,
+                                                                  field, value):
+        path = self.write_config(tmp_path, algorithm="allprobe", market=THREE_ARMS, **{field: value})
+        assert cli_main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config field {field!r}: not applicable to algorithm 'allprobe'\n"
 
     def test_validate_rejects_non_string_out_dir_in_one_line(self, tmp_path, capsys):
         path = self.write_config(tmp_path, out_dir=5)
