@@ -158,7 +158,7 @@ def expected_max(mean_x: float, mean_y: float, model: RewardModel) -> float:
 @dataclass
 class HintedRunResult:
     cumulative_regret: np.ndarray  # length T
-    last_quarter_pulls: np.ndarray  # per arm, final quarter only
+    last_quarter_pulls: np.ndarray  # per arm, final quarter (at least round T) only
 
 
 def run_hinted(
@@ -179,7 +179,7 @@ def run_hinted(
     regret_target = means[rank_order(means)[rank - 1]]
     cum = np.empty(T)
     last_quarter = np.zeros(m, dtype=np.int64)
-    quarter_start = T - T // 4
+    quarter_start = T - max(1, T // 4)  # at least the last round
     increments: dict[tuple[int, int], float] = {}  # per probed pair
     acc = 0.0
     for t in range(1, T + 1):

@@ -1,9 +1,13 @@
 """Replicated experiment execution and artifact emission.
 
-Each replication owns its market copy, RNG streams, and recorder; results
-are merged in replication order so output bytes do not depend on worker
-scheduling. Replication i uses seed base_seed + i; re-running any single
-replication reproduces its series exactly.
+Each replication owns its market copy, RNG streams, and recorder. The
+process that runs a replication (or its lockstep block) writes that
+replication's files as soon as it finishes, and hands back only what
+``summary.json`` reads, so no process holds more than one replication or
+block. The summary merges those records in replication order, so output
+bytes do not depend on worker scheduling. Replication i uses seed
+base_seed + i; re-running any single replication reproduces its series
+exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import json
 import multiprocessing
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -168,13 +172,69 @@ def _runs_lockstep(config: ExperimentConfig, market: Market) -> bool:
 
 
 def _market_worker(args) -> list[RepOutput]:
-    """The replications of one job: one scalar run, or a lockstep block."""
-    config, market, reps = args
+    """The replications of one job: one scalar run, or a lockstep block.
+
+    Writes each replication's files to ``out`` and returns its record trimmed
+    to what the summary reads: rows at the summary checkpoints, no round logs.
+    """
+    config, market, reps, out = args
     if _runs_lockstep(config, market):
         from . import lockstep
 
-        return getattr(lockstep, _LOCKSTEP_BLOCKS[config.algorithm])(config, market, reps)
-    return [run_market_replication(config, market, rep) for rep in reps]
+        outs = getattr(lockstep, _LOCKSTEP_BLOCKS[config.algorithm])(config, market, reps)
+    else:
+        outs = (run_market_replication(config, market, rep) for rep in reps)
+    T = config.horizon
+    retained, marks = checkpoint_rounds(T, config.stride), summary_checkpoints(T)
+    kept = []
+    for rep_out in outs:
+        _write_market_files(out, rep_out, retained, market.n)
+        rows = {t: rep_out.rows[t] for t in marks}
+        kept.append(replace(rep_out, rows=rows, round_log=[], firm_log=[]))
+    return kept
+
+
+def _write_market_files(out: Path, rep_out: RepOutput, retained: list[int], n: int) -> None:
+    """A replication's series, and its phase and round logs when it has them."""
+    rows = [
+        (t, a + 1) + tuple(rep_out.rows[t][k][a] for k in range(len(SERIES_KINDS)))
+        for t in retained
+        for a in range(n)
+    ]
+    _write_csv(
+        out / f"series_rep{rep_out.rep:04d}.csv",
+        ["t", "agent"] + [f"{kind}_regret" for kind in SERIES_KINDS],
+        rows,
+    )
+    if rep_out.phase_log:
+        _write_csv(
+            out / f"phases_rep{rep_out.rep:04d}.csv",
+            ["phase", "t_gs", "triggers", "committed"],
+            [
+                (
+                    p["index"],
+                    p["t_gs"],
+                    p["triggers"],
+                    ";".join(
+                        f"{a + 1}:{f + 1}"
+                        for a, f in enumerate(p["committed"] or [])
+                        if f is not None
+                    ),
+                )
+                for p in rep_out.phase_log
+            ],
+        )
+    if rep_out.round_log:
+        _write_csv(
+            out / f"rounds_rep{rep_out.rep:04d}.csv",
+            ["t", "agent", "interviewed", "applied", "matched", "reward"],
+            rep_out.round_log,
+        )
+        _write_csv(
+            out / f"firms_rep{rep_out.rep:04d}.csv",
+            ["t", "firm", "gamma", "vacant"],
+            rep_out.firm_log,
+        )
 
 
 @dataclass
@@ -205,8 +265,12 @@ def run_bandit_replication(
 
 
 def _bandit_worker(args) -> BanditRepOutput:
-    config, means, model, rep = args
-    return run_bandit_replication(config, means, model, rep)
+    """One replication: writes its series to ``out``, keeps regret at the summary checkpoints."""
+    config, means, model, rep, out = args
+    rep_out = run_bandit_replication(config, means, model, rep)
+    _write_csv(out / f"series_rep{rep:04d}.csv", ["t", "hinted_regret"], rep_out.regret_at.items())
+    marks = summary_checkpoints(config.horizon)
+    return replace(rep_out, regret_at={t: rep_out.regret_at[t] for t in marks})
 
 
 def _map_reps(worker, jobs, workers: int):
@@ -300,53 +364,11 @@ def _run_market_experiment(config: ExperimentConfig, out: Path, workers: int) ->
         blocks = [range(count * i // k, count * (i + 1) // k) for i in range(k)]
     else:
         blocks = [range(rep, rep + 1) for rep in range(count)]
-    jobs = [(config, market, block) for block in blocks]
+    jobs = [(config, market, block, out) for block in blocks]
     reps = [r for outs in _map_reps(_market_worker, jobs, workers) for r in outs]
     reps.sort(key=lambda r: r.rep)
     n = market.n
     T = config.horizon
-    retained = checkpoint_rounds(T, config.stride)
-
-    for rep_out in reps:
-        rows = [
-            (t, a + 1) + tuple(rep_out.rows[t][k][a] for k in range(len(SERIES_KINDS)))
-            for t in retained
-            for a in range(n)
-        ]
-        _write_csv(
-            out / f"series_rep{rep_out.rep:04d}.csv",
-            ["t", "agent"] + [f"{kind}_regret" for kind in SERIES_KINDS],
-            rows,
-        )
-        if rep_out.phase_log:
-            _write_csv(
-                out / f"phases_rep{rep_out.rep:04d}.csv",
-                ["phase", "t_gs", "triggers", "committed"],
-                [
-                    (
-                        p["index"],
-                        p["t_gs"],
-                        p["triggers"],
-                        ";".join(
-                            f"{a + 1}:{f + 1}"
-                            for a, f in enumerate(p["committed"] or [])
-                            if f is not None
-                        ),
-                    )
-                    for p in rep_out.phase_log
-                ],
-            )
-        if rep_out.round_log:
-            _write_csv(
-                out / f"rounds_rep{rep_out.rep:04d}.csv",
-                ["t", "agent", "interviewed", "applied", "matched", "reward"],
-                rep_out.round_log,
-            )
-            _write_csv(
-                out / f"firms_rep{rep_out.rep:04d}.csv",
-                ["t", "firm", "gamma", "vacant"],
-                rep_out.firm_log,
-            )
 
     marks = summary_checkpoints(T)
     series_stats = {}
@@ -415,19 +437,10 @@ def _run_market_experiment(config: ExperimentConfig, out: Path, workers: int) ->
 
 def _run_bandit_experiment(config: ExperimentConfig, out: Path, workers: int) -> dict:
     means, model = bandit_arms(config)
-    jobs = [(config, means, model, rep) for rep in range(config.replications)]
+    jobs = [(config, means, model, rep, out) for rep in range(config.replications)]
     reps = _map_reps(_bandit_worker, jobs, workers)
     reps.sort(key=lambda r: r.rep)
     T = config.horizon
-    retained = checkpoint_rounds(T, config.stride)
-
-    for rep_out in reps:
-        _write_csv(
-            out / f"series_rep{rep_out.rep:04d}.csv",
-            ["t", "hinted_regret"],
-            [(t, rep_out.regret_at[t]) for t in retained],
-        )
-
     marks = summary_checkpoints(T)
     values = np.array([[r.regret_at[t] for t in marks] for r in reps])
     mean, err = _mean_stderr(values)

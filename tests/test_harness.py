@@ -448,8 +448,14 @@ class TestShippedConfigs:
 
 
 class TestRunExperiment:
-    def test_byte_identical_reruns(self, tmp_path):
-        config = config_from_dict(base_config())
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"algorithm": "ancdrr", "log_rounds": True},
+         {"market": {"arms": [0.9, 0.5, 0.2]}, "algorithm": "allprobe"}],
+        ids=["cia", "ancdrr-logged", "allprobe"],
+    )
+    def test_byte_identical_reruns(self, tmp_path, overrides):
+        config = config_from_dict(base_config(**overrides))
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         run_experiment(config, out_dir=str(out_a))
         run_experiment(config, out_dir=str(out_b), workers=2)
@@ -510,6 +516,52 @@ class TestRunExperiment:
         phases = (tmp_path / "phases_rep0000.csv").read_text().splitlines()
         assert phases[0] == "phase,t_gs,triggers,committed"
         assert phases[1].startswith("0,1,init,")
+
+    @pytest.mark.parametrize(
+        "overrides, reps, kinds",
+        [({"algorithm": "ancdrr", "log_rounds": True}, range(1, 2), ["firms", "rounds", "series"]),
+         ({"algorithm": "drr"}, range(3), ["phases", "series"])],
+        ids=["scalar-logged", "lockstep-block"],
+    )
+    def test_market_worker_keeps_only_summary_rows(self, tmp_path, overrides, reps, kinds):
+        # the worker writes every retained row; its record keeps the summary's
+        config = config_from_dict(base_config(replications=3, **overrides))
+        market = build_market(config)
+        assert runner._runs_lockstep(config, market) == (config.algorithm == "drr")
+        outs = runner._market_worker((config, market, reps, tmp_path))
+        marks = runner.summary_checkpoints(config.horizon)
+        assert len(marks) < len(runner.checkpoint_rounds(config.horizon, config.stride))
+        assert [r.rep for r in outs] == list(reps)
+        for r in outs:
+            assert list(r.rows) == marks
+            assert r.round_log == [] and r.firm_log == []
+            full = runner.run_market_replication(config, market, r.rep)
+            assert r.rows == {t: full.rows[t] for t in marks}
+            assert r.phase_log == full.phase_log and r.invalid == full.invalid
+            written = sorted(p.name for p in tmp_path.glob(f"*_rep{r.rep:04d}.csv"))
+            assert written == [f"{k}_rep{r.rep:04d}.csv" for k in kinds]
+
+    def test_bandit_worker_keeps_only_summary_regret(self, tmp_path):
+        config = config_from_dict(
+            base_config(market={"arms": [0.9, 0.5, 0.2]}, algorithm="allprobe")
+        )
+        means, model = bandit_arms(config)
+        out = runner._bandit_worker((config, means, model, 1, tmp_path))
+        assert list(out.regret_at) == runner.summary_checkpoints(config.horizon)
+        lines = (tmp_path / "series_rep0001.csv").read_text().splitlines()
+        assert len(lines) == 1 + len(runner.checkpoint_rounds(config.horizon, config.stride))
+
+    def test_bandit_summary_on_horizons_below_four(self, tmp_path):
+        # the final quarter is at least round T, so the top-pulled arm was pulled
+        config = config_from_dict(
+            base_config(market={"arms": [0.3, 0.9, 0.5]}, algorithm="allprobe",
+                        horizon=3, stride=1)
+        )
+        summary = run_experiment(config, out_dir=str(tmp_path))
+        means, model = bandit_arms(config)
+        for rep, arm in enumerate(summary["last_quarter_top_pulled"]):
+            pulls = runner.run_bandit_replication(config, means, model, rep).last_quarter_pulls
+            assert pulls[arm - 1] == 1 == sum(pulls)
 
     def test_bandit_experiment_summary(self, tmp_path):
         config = config_from_dict(

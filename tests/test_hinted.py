@@ -267,6 +267,15 @@ class TestRunHinted:
         expected = hinted_regret(steps, means, model, rank)
         assert result.cumulative_regret.tolist() == expected
 
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    def test_last_quarter_holds_round_t_on_short_horizons(self, T):
+        # T // 4 is 0 below T = 4; the window still holds the last round
+        means, model = (0.3, 0.9, 0.5), RewardModel()
+        result = run_hinted("allprobe", means, model, T, random.Random(2))
+        bandit, rng = HintedBandit(means, model, 0.1), random.Random(2)
+        last = [bandit.allprobe_step(t, rng) for t in range(1, T + 1)][-1]
+        assert result.last_quarter_pulls.tolist() == [int(a == last.pulled) for a in range(3)]
+
     def test_unknown_algorithm(self):
         with pytest.raises(ParameterError):
             run_hinted("ucb", (0.5, 0.4), RewardModel(), 10, random.Random(0))
