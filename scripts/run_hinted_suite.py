@@ -9,10 +9,18 @@ import argparse
 from pathlib import Path
 
 from interview_markets.config import config_from_dict
+from interview_markets.market import rank_order
 from interview_markets.runner import run_experiment
 
 
-def main() -> None:
+def target_share(top_pulled: list[int], arms: list[float], target_rank: int) -> float:
+    """Share of replications whose most-pulled arm (1-based, as in
+    ``summary.json``) is the arm of mean rank ``target_rank``."""
+    target = rank_order(arms)[target_rank - 1] + 1
+    return sum(1 for x in top_pulled if x == target) / len(top_pulled)
+
+
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--arms", type=float, nargs="+", default=[0.9, 0.75, 0.6, 0.45, 0.3]
@@ -24,7 +32,7 @@ def main() -> None:
     parser.add_argument("--target-rank", type=int, default=2)
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--out", default="out/hinted-suite")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     for algo in ("allprobe", "apem", "eap"):
         raw = {
@@ -48,8 +56,8 @@ def main() -> None:
         points = "  ".join(f"t={t}: {r:.2f}" for t, r in zip(marks, mean))
         print(f"{algo:<9} plateau {summary['plateau']['ratio']:.3f}  {points}")
         if algo == "eap":
-            top = summary["last_quarter_top_pulled"]
-            share = sum(1 for x in top if x == args.target_rank) / len(top)
+            share = target_share(summary["last_quarter_top_pulled"], args.arms,
+                                 args.target_rank)
             print(
                 f"          rank-{args.target_rank} arm most pulled in the final"
                 f" quarter in {share:.0%} of replications"

@@ -34,7 +34,7 @@ scalar algorithm until the benchmark counts lockstep rounds (ROADMAP item 1).
 from __future__ import annotations
 
 from itertools import chain, islice, repeat
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -105,7 +105,8 @@ class _Block:
         self._bases = np.array([opt, pess])[:, None, :]  # (2, 1, n)
         self._retain = frozenset(checkpoint_rounds(config.horizon, config.stride))
         self._cum = np.zeros((4, R, n))  # realized opt, pess; pseudo opt, pess
-        self._stored: list[np.ndarray] = []
+        self._stored = np.empty((len(self._retain), 4, R, n))  # _cum at each retained round
+        self._kept = 0
         # RunRecorder.invalid: some firm truly worse than the best partner is listed above it
         self._best = np.array(best)[:, None]  # (n, 1)
         self._worse = self.agent_means < self.agent_means[self.agents, best][:, None]
@@ -157,7 +158,8 @@ class _Block:
         cum[:2] += self._bases - (drawn < mean).astype(float)
         cum[2:] += self._bases - mean
         if t in self._retain:
-            self._stored.append(cum.copy())
+            self._stored[self._kept] = cum
+            self._kept += 1
         if t in self._checks:
             lists = self.agent_est.lists()  # (R, n, m)
             above = (lists == self._best).cumsum(-1) == 0  # listed before the best partner
@@ -169,26 +171,25 @@ class _Block:
             self._streak = np.where(changed.any(1), perfect, self._streak)
             self._last = match
 
-    def outputs(self, phase_logs=None) -> list[RepOutput]:
-        """One :class:`RepOutput` per replication, in plain Python values."""
+    def outputs(self, phase_logs=None) -> Iterator[RepOutput]:
+        """Each replication's :class:`RepOutput` in plain Python values,
+        built one at a time from the block's arrays as it is asked for."""
         marks = sorted(self._retain)
-        rows = np.array(self._stored).transpose(2, 0, 1, 3).tolist()  # (R, marks, 4, n)
         counts = {name: values.tolist() for name, values in self.events.items()}
         invalid = np.array(self._invalid, dtype=int).transpose(1, 0, 2).tolist()  # (R, checks, n)
         streak, last = self._streak.tolist(), self._last.tolist()
-        return [
-            RepOutput(
+        for i, rep in enumerate(self.reps):
+            rows = self._stored[:, :, i].tolist()  # (marks, 4, n)
+            yield RepOutput(
                 rep=rep,
                 seed=self.config.base_seed + rep,
-                rows={t: tuple(map(tuple, kinds)) for t, kinds in zip(marks, rows[i])},
+                rows={t: tuple(map(tuple, kinds)) for t, kinds in zip(marks, rows)},
                 converged_round=streak[i] or None,
                 final_matching=tuple(f if f >= 0 else None for f in last[i]),
                 events={name: values[i] for name, values in counts.items()},
                 invalid={t: tuple(flags) for t, flags in zip(sorted(self._checks), invalid[i])},
                 phase_log=phase_logs[i] if phase_logs else [],
             )
-            for i, rep in enumerate(self.reps)
-        ]
 
 
 class _FirmPolicy:
@@ -232,7 +233,7 @@ class _FirmPolicy:
         return best, offering
 
 
-def run_cia_block(config, market: Market, reps: Sequence[int]) -> list[RepOutput]:
+def run_cia_block(config, market: Market, reps: Sequence[int]) -> Iterator[RepOutput]:
     """Replications ``reps`` of a Bernoulli ``cia`` config, run in lockstep."""
     blk = _Block(config, market, reps)
     if not blk.uncertain:  # OracleEstimator's lists never move
@@ -262,7 +263,7 @@ def run_cia_block(config, market: Market, reps: Sequence[int]) -> list[RepOutput
     return blk.outputs()
 
 
-def run_drr_block(config, market: Market, reps: Sequence[int]) -> list[RepOutput]:
+def run_drr_block(config, market: Market, reps: Sequence[int]) -> Iterator[RepOutput]:
     """Replications ``reps`` of a Bernoulli ``drr`` config, run in lockstep.
 
     ``decentral.CoordinatedPolicy`` and ``firms.StrategicFirmPolicy`` as
@@ -367,7 +368,7 @@ def run_drr_block(config, market: Market, reps: Sequence[int]) -> list[RepOutput
     return blk.outputs(phase_logs)
 
 
-def run_eancdrr_block(config, market: Market, reps: Sequence[int]) -> list[RepOutput]:
+def run_eancdrr_block(config, market: Market, reps: Sequence[int]) -> Iterator[RepOutput]:
     """Replications ``reps`` of a Bernoulli ``eancdrr`` config, run in lockstep.
 
     ``decentral.ExtendedCoordinationFreePolicy`` and

@@ -7,6 +7,7 @@ most-preferred first. ``n <= m`` always (agents are the short side).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -431,6 +432,14 @@ def generate_alpha_reducible(
     return market
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def _gaussian_truncation(mean: float, sigma: float) -> tuple[float, float]:
+    """The largest deviation a Gaussian draw around ``mean`` keeps, and the
+    sigma it draws with: at most a third of that deviation."""
+    cap = min(mean, 1.0 - mean)
+    return cap, min(sigma, cap / 3.0)
+
+
 def draw_reward(mean: float, model: RewardModel, rng: random.Random) -> float:
     """One sample from the pair distribution; always inside [0, 1], E = mean."""
     if model.kind == "bernoulli":
@@ -438,10 +447,9 @@ def draw_reward(mean: float, model: RewardModel, rng: random.Random) -> float:
     if model.kind == "point":
         return mean
     # gaussian: symmetric truncation keeps the expectation at `mean`
-    cap = min(mean, 1.0 - mean)
+    cap, sigma = _gaussian_truncation(mean, model.sigma)
     if cap <= 0.0:
         return mean
-    sigma = min(model.sigma, cap / 3.0)
     while True:
         z = rng.gauss(0.0, sigma)
         if abs(z) <= cap:

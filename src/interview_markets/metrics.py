@@ -57,8 +57,13 @@ INVARIANTS = (
 )
 
 
-def _joined(firms: Sequence[int]) -> str:
-    return ";".join(str(f + 1) for f in firms)
+class _JoinedCells(dict):
+    """The CSV cell of each firm tuple seen, its 1-based firms joined by
+    ``;``, computed on first use."""
+
+    def __missing__(self, firms: tuple[int, ...]) -> str:
+        cell = self[firms] = ";".join(str(f + 1) for f in firms)
+        return cell
 
 
 class RunRecorder:
@@ -70,10 +75,11 @@ class RunRecorder:
     in certain mode, and no firm abstains twice in a row. At each of
     ``validity_rounds``, ``invalid[t]`` flags (1) every agent whose list in
     ``agent_est`` is invalid for its agent-optimal stable partner ``best``.
-    At each of ``log_rounds``, ``round_log`` gains one row per agent (t,
-    1-based agent, interviewed and applied firms joined by ``;``, matched
-    firm or empty, reward) and ``firm_log`` one per firm (t, firm, gamma,
-    1 if vacant), firms 1-based.
+    At each of ``log_rounds``, ``round_log`` and ``firm_log`` each gain one
+    string of finished CSV text: that round's line per agent (t, 1-based
+    agent, interviewed and applied firms joined by ``;``, matched firm or
+    empty, reward as ``str`` renders it) and per firm (t, firm, gamma, 1 if
+    vacant), firms 1-based, each line ending in a newline.
     """
 
     def __init__(
@@ -110,8 +116,9 @@ class RunRecorder:
         self._prev_gamma: Sequence[int] = (1,) * market.m
         self._prev_pool: Sequence[int] = (0,) * market.m
         self._log_rounds = frozenset(log_rounds)
-        self.round_log: list[tuple] = []
-        self.firm_log: list[tuple] = []
+        self._cells = _JoinedCells()
+        self.round_log: list[str] = []
+        self.firm_log: list[str] = []
 
     def __call__(self, outcome: RoundOutcome) -> None:
         market = self.market
@@ -135,15 +142,16 @@ class RunRecorder:
                 for a, (truth, b) in enumerate(self._targets)
             )
         if t in self._log_rounds:
+            cells, vprime = self._cells, outcome.vprime
             agents = zip(outcome.interviews, outcome.applications,
                          outcome.matching.agent_match, outcome.rewards)
-            self.round_log.extend(
-                (t, a, _joined(ivs), _joined(apps), "" if f is None else f + 1, x)
+            self.round_log.append("".join([
+                f"{t},{a},{cells[ivs]},{cells[apps]},{'' if f is None else f + 1},{x!s}\n"
                 for a, (ivs, apps, f, x) in enumerate(agents, 1)
-            )
-            self.firm_log.extend(
-                (t, f + 1, g, int(f in outcome.vprime)) for f, g in enumerate(outcome.gamma)
-            )
+            ]))
+            self.firm_log.append("".join([
+                f"{t},{f + 1},{g},{int(f in vprime)}\n" for f, g in enumerate(outcome.gamma)
+            ]))
 
         events = self.events
         if not outcome.vprime <= outcome.v:

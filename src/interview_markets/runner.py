@@ -4,10 +4,12 @@ Each replication owns its market copy, RNG streams, and recorder. The
 process that runs a replication (or its lockstep block) writes that
 replication's files as soon as it finishes, and hands back only what
 ``summary.json`` reads, so no process holds more than one replication or
-block. The summary merges those records in replication order, so output
-bytes do not depend on worker scheduling. Replication i uses seed
-base_seed + i; re-running any single replication reproduces its series
-exactly.
+block; a lockstep block builds one replication's record at a time. Every
+CSV line is rendered once, straight from its values: series rows here, the
+round logs as text in ``RunRecorder``. The summary merges the records in
+replication order, so output bytes do not depend on worker scheduling.
+Replication i uses seed base_seed + i; re-running any single replication
+reproduces its series exactly.
 """
 
 from __future__ import annotations
@@ -174,8 +176,9 @@ def _runs_lockstep(config: ExperimentConfig, market: Market) -> bool:
 def _market_worker(args) -> list[RepOutput]:
     """The replications of one job: one scalar run, or a lockstep block.
 
-    Writes each replication's files to ``out`` and returns its record trimmed
-    to what the summary reads: rows at the summary checkpoints, no round logs.
+    Writes each replication's files to ``out`` and trims its record, before
+    the next replication's is built, to what the summary reads: rows at the
+    summary checkpoints, no round logs.
     """
     config, market, reps, out = args
     if _runs_lockstep(config, market):
@@ -188,23 +191,23 @@ def _market_worker(args) -> list[RepOutput]:
     retained, marks = checkpoint_rounds(T, config.stride), summary_checkpoints(T)
     kept = []
     for rep_out in outs:
-        _write_market_files(out, rep_out, retained, market.n)
+        _write_market_files(out, rep_out, retained)
         rows = {t: rep_out.rows[t] for t in marks}
         kept.append(replace(rep_out, rows=rows, round_log=[], firm_log=[]))
     return kept
 
 
-def _write_market_files(out: Path, rep_out: RepOutput, retained: list[int], n: int) -> None:
+def _write_market_files(out: Path, rep_out: RepOutput, retained: list[int]) -> None:
     """A replication's series, and its phase and round logs when it has them."""
-    rows = [
-        (t, a + 1) + tuple(rep_out.rows[t][k][a] for k in range(len(SERIES_KINDS)))
-        for t in retained
-        for a in range(n)
-    ]
-    _write_csv(
+    rows = rep_out.rows
+    _write_lines(
         out / f"series_rep{rep_out.rep:04d}.csv",
         ["t", "agent"] + [f"{kind}_regret" for kind in SERIES_KINDS],
-        rows,
+        (
+            f"{t},{a},{x!s},{y!s},{u!s},{v!s}\n"
+            for t in retained
+            for a, (x, y, u, v) in enumerate(zip(*rows[t]), 1)
+        ),
     )
     if rep_out.phase_log:
         _write_csv(
@@ -225,12 +228,12 @@ def _write_market_files(out: Path, rep_out: RepOutput, retained: list[int], n: i
             ],
         )
     if rep_out.round_log:
-        _write_csv(
+        _write_lines(
             out / f"rounds_rep{rep_out.rep:04d}.csv",
             ["t", "agent", "interviewed", "applied", "matched", "reward"],
             rep_out.round_log,
         )
-        _write_csv(
+        _write_lines(
             out / f"firms_rep{rep_out.rep:04d}.csv",
             ["t", "firm", "gamma", "vacant"],
             rep_out.firm_log,
@@ -297,11 +300,16 @@ def resolve_out_dir(config: ExperimentConfig, override: Optional[str] = None) ->
     return Path("out")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Cells render with ``str``, which for a float is its shortest ``repr``."""
+def _write_lines(path: Path, header: list[str], lines) -> None:
+    """The header, then ``lines``: finished CSV text, each ending in a newline."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+        fh.writelines(lines)
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Cells render with ``str``, which for a float is its shortest ``repr``."""
+    _write_lines(path, header, (",".join(map(str, row)) + "\n" for row in rows))
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[list, list]:

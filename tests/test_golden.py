@@ -5,8 +5,10 @@ pins the sha256 of its series and phase CSVs and its summary, taken in
 file-name order. One more case, with ``log_rounds``, pins the per-round
 ``rounds_rep*.csv`` and ``firms_rep*.csv`` logs as well. Any change to the round protocol, the RNG draw order, the
 estimators, the firm clocks, the regret accounting, the invariant counters or
-the CSV rendering moves a digest. Gaussian rewards are left out because
-their draws go through libm.
+the CSV rendering moves a digest. Two logged cases run truncated-Gaussian
+markets, whose draws go through libm's ``log``, ``sqrt`` and ``cos`` in
+``random.gauss``; their digests hold on platforms whose libm rounds these as
+glibc does.
 
 ``drr`` and ``eancdrr`` run as lockstep blocks (``lockstep.run_drr_block``,
 ``lockstep.run_eancdrr_block``), and once more with the runner held to the
@@ -107,3 +109,31 @@ def test_round_logs_match_golden_digest(tmp_path):
     assert gammas.count("0") == summary["invariants"]["gamma_zero_rounds"]
     digest = artifact_digest(tmp_path, ("series_", "rounds_", "firms_"))
     assert digest == LOGGED_GOLDEN
+
+
+def gaussian_market(sigma):
+    return {"generator": {**MARKET["generator"], "reward_kind": "gaussian", "sigma": sigma}}
+
+
+# truncated-Gaussian markets with per-round logs: certain firms every round,
+# and uncertain firms (eancdrr's phase log too) every seventh round
+GAUSSIAN_GOLDEN = {
+    ("ancdrr", "certain"):
+        "d7e17daa3328bae0eea59fc5a497597e24d4ffa5adc7d010bc63f3fb34c5fe8f",
+    ("eancdrr", "uncertain"):
+        "93eb7fb4aa3b4c65d9bb6827fe10cc2b268afad8f875cfdacb8161fd9758a19c",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GAUSSIAN_GOLDEN), ids=lambda c: f"{c[0]}-{c[1]}")
+def test_gaussian_round_logs_match_golden_digest(case, tmp_path):
+    algorithm, firm_mode = case
+    raw = {"algorithm": algorithm, "firm_mode": firm_mode, "horizon": 150,
+           "replications": 3, "base_seed": 4, "log_rounds": True}
+    if algorithm == "ancdrr":
+        raw.update(market=gaussian_market(0.1), stride=1)
+    else:
+        raw.update(market=gaussian_market(0.05), stride=7, **{"lambda": 0.5})
+    run_experiment(config_from_dict(raw), out_dir=str(tmp_path))
+    digest = artifact_digest(tmp_path, ("series_", "phases_", "rounds_", "firms_"))
+    assert digest == GAUSSIAN_GOLDEN[case]

@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from interview_markets import runner
@@ -21,17 +22,21 @@ from interview_markets.config import (
     config_from_dict,
     load_config,
 )
+from interview_markets.engine import RoundOutcome
 from interview_markets.errors import ConfigError
+from interview_markets.estimation import EstimatorState
 from interview_markets.market import (
     Market,
+    Matching,
     RewardModel,
     enumerate_stable_matchings,
     gale_shapley,
     ground_truth_prefs,
     save_market,
 )
+from interview_markets.metrics import RunRecorder
 from interview_markets.named_markets import EXAMPLE_NAMES, named_example
-from interview_markets.runner import _write_csv, config_hash, run_experiment
+from interview_markets.runner import RepOutput, _write_csv, config_hash, run_experiment
 
 
 def base_config(**overrides):
@@ -619,6 +624,42 @@ class TestCsvRendering:
         path = tmp_path / "empty.csv"
         _write_csv(path, ["t", "agent"], [])
         assert path.read_bytes() == b"t,agent\n"
+
+    @staticmethod
+    def joined(row):
+        return ",".join(map(str, row)) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=st.integers(1, 10**6), values=st.lists(st.floats(allow_nan=False,
+           allow_infinity=False), min_size=8, max_size=8))
+    @example(t=1, values=[-0.0, 5e-324, 1e-05, 1e16, 0.1, -1e-05, 1.0, 2.5e-17])
+    def test_series_lines_render_as_joined_cells(self, t, values):
+        kinds = tuple(tuple(values[k::4]) for k in range(4))  # 4 kinds x 2 agents
+        rep_out = RepOutput(rep=0, seed=0, rows={t: kinds}, converged_round=None,
+                            final_matching=(), events={}, invalid={})
+        with tempfile.TemporaryDirectory() as d:
+            runner._write_market_files(Path(d), rep_out, [t])
+            lines = (Path(d) / "series_rep0000.csv").read_text().splitlines(keepends=True)
+        assert lines[1:] == [self.joined((t, a + 1, *(kinds[k][a] for k in range(4))))
+                             for a in range(2)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=st.integers(1, 10**6),
+           rewards=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 2))
+    @example(t=1, rewards=(-0.0, 5e-324))
+    @example(t=7, rewards=(1e-05, 1e16))
+    def test_round_log_lines_render_as_joined_cells(self, t, rewards):
+        market = Market(((0.9, 0.5), (0.4, 0.8)), ((0.5, 0.4), (0.3, 0.6)))
+        recorder = RunRecorder(market, (0.9, 0.8), (0.5, 0.4), EstimatorState(2, 2), (0, 1), (),
+                               log_rounds=[t])
+        for _ in range(2):  # the second round's cells come from the memo
+            recorder(RoundOutcome(t, ((0, 1), (1, 0, 1)), ((0,), ()), (1, 0),
+                                  Matching((0, None), 2), rewards, frozenset({1}), frozenset({1})))
+        agents = self.joined((t, 1, "1;2", "1", 1, rewards[0])) + self.joined(
+            (t, 2, "2;1;2", "", "", rewards[1]))
+        firms = self.joined((t, 1, 1, 0)) + self.joined((t, 2, 0, 1))
+        assert recorder.round_log == [agents] * 2
+        assert recorder.firm_log == [firms] * 2
 
 
 class TestCli:

@@ -2,6 +2,7 @@
 replication by replication, and the scalar ``ancdrr`` on the same markets."""
 
 import json
+import tracemalloc
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -188,3 +189,17 @@ def test_uneven_worker_blocks_write_identical_artifacts(tmp_path, algorithm):
     assert names == sorted(p.name for p in (tmp_path / "two").iterdir())
     for name in names:
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+
+def test_block_builds_one_replication_record_at_a_time(tmp_path):
+    # 16 replications keeping every round of a 1000-round horizon: the
+    # block's retained rows as Python tuples for all of them at once would
+    # take about 19 MB; the stacked array and one record take under 4 MB
+    config = config_from_dict(_raw(horizon=1000, replications=16, stride=1))
+    tracemalloc.start()
+    try:
+        run_experiment(config, out_dir=str(tmp_path), workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
