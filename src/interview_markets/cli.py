@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from . import __version__
-from .config import load_config
+from .config import experiment_source, load_config
 from .errors import ConfigError, MarketError, SizeError
 from .market import enumerate_stable_matchings, load_market
 from .metrics import min_gaps
@@ -49,7 +49,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {summary['replications']} replication series to {out}")
             return 0
         if args.command == "validate":
-            load_config(args.config)
+            experiment_source(load_config(args.config))
             print("config ok")
             return 0
         if args.command == "examples":

@@ -399,3 +399,9 @@ def bandit_arms(config: ExperimentConfig) -> tuple[tuple[float, ...], RewardMode
     if config.algorithm == "eap" and config.target_rank >= len(means):
         _fail("target_rank", f"must be below the number of arms, {len(means)}")
     return means, model
+
+
+def experiment_source(config: ExperimentConfig):
+    """What the config runs on: a market algorithm's ``build_market``, or a
+    bandit's ``bandit_arms``. ``run`` and ``validate`` both resolve it here."""
+    return build_market(config) if config.algorithm in MARKET_ALGORITHMS else bandit_arms(config)

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .market import RewardModel, draw_reward, rank_order
+from .market import RewardModel, _gaussian_truncation, draw_reward, rank_order
 
 
 @dataclass
@@ -127,10 +127,9 @@ def _phi(x: float) -> float:
 
 
 def _gaussian_cdf(z: float, mean: float, model: RewardModel) -> float:
-    cap = min(mean, 1.0 - mean)
+    cap, sigma = _gaussian_truncation(mean, model.sigma)
     if cap <= 0.0:
         return 0.0 if z < mean else 1.0
-    sigma = min(model.sigma, cap / 3.0)
     if z <= mean - cap:
         return 0.0
     if z >= mean + cap:

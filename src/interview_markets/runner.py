@@ -1,12 +1,16 @@
 """Replicated experiment execution and artifact emission.
 
-Each replication owns its market copy, RNG streams, and recorder. The
-process that runs a replication (or its lockstep block) writes that
-replication's files as soon as it finishes, and hands back only what
-``summary.json`` reads, so no process holds more than one replication or
-block; a lockstep block builds one replication's record at a time. Every
-CSV line is rendered once, straight from its values: series rows here, the
-round logs as text in ``RunRecorder``. The summary merges the records in
+``run_experiment`` is the one path from a config to its artifacts. It
+resolves the config's market or arms, splits the replications into one
+contiguous block per worker, and maps ``_market_worker`` or
+``_bandit_worker`` over the blocks. A worker runs its block's replications
+one at a time, on the scalar engine or as one lockstep block, and writes
+each replication's files as soon as it finishes. It drops the full record
+before the next is built and hands back only what ``summary.json`` reads,
+so no process holds more than one replication's record (or a lockstep
+block's arrays plus one record). Every CSV line is rendered once, straight
+from its values: series rows here, the round logs as text in
+``RunRecorder``. The summary reads the records in job order, which is
 replication order, so output bytes do not depend on worker scheduling.
 Replication i uses seed base_seed + i; re-running any single replication
 reproduces its series exactly.
@@ -27,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .central import CentralAllocator
-from .config import ExperimentConfig, MARKET_ALGORITHMS, bandit_arms, build_market
+from .config import ExperimentConfig, MARKET_ALGORITHMS, experiment_source
 from .decentral import (
     CoordinatedPolicy,
     CoordinationFreePolicy,
@@ -174,7 +178,7 @@ def _runs_lockstep(config: ExperimentConfig, market: Market) -> bool:
 
 
 def _market_worker(args) -> list[RepOutput]:
-    """The replications of one job: one scalar run, or a lockstep block.
+    """The replications of one block, on the scalar engine or as a lockstep block.
 
     Writes each replication's files to ``out`` and trims its record, before
     the next replication's is built, to what the summary reads: rows at the
@@ -194,6 +198,7 @@ def _market_worker(args) -> list[RepOutput]:
         _write_market_files(out, rep_out, retained)
         rows = {t: rep_out.rows[t] for t in marks}
         kept.append(replace(rep_out, rows=rows, round_log=[], firm_log=[]))
+        del rep_out  # else the full record lives on while the next one runs
     return kept
 
 
@@ -267,13 +272,19 @@ def run_bandit_replication(
     return BanditRepOutput(rep, seed, regret_at, result.last_quarter_pulls.tolist())
 
 
-def _bandit_worker(args) -> BanditRepOutput:
-    """One replication: writes its series to ``out``, keeps regret at the summary checkpoints."""
-    config, means, model, rep, out = args
-    rep_out = run_bandit_replication(config, means, model, rep)
-    _write_csv(out / f"series_rep{rep:04d}.csv", ["t", "hinted_regret"], rep_out.regret_at.items())
+def _bandit_worker(args) -> list[BanditRepOutput]:
+    """The replications of one block: writes each one's series to ``out``,
+    keeps its regret at the summary checkpoints."""
+    config, (means, model), reps, out = args
     marks = summary_checkpoints(config.horizon)
-    return replace(rep_out, regret_at={t: rep_out.regret_at[t] for t in marks})
+    kept = []
+    for rep in reps:
+        rep_out = run_bandit_replication(config, means, model, rep)
+        _write_csv(out / f"series_rep{rep:04d}.csv", ["t", "hinted_regret"],
+                   rep_out.regret_at.items())
+        kept.append(replace(rep_out, regret_at={t: rep_out.regret_at[t] for t in marks}))
+        del rep_out  # else the full record lives on while the next one runs
+    return kept
 
 
 def _map_reps(worker, jobs, workers: int):
@@ -336,14 +347,32 @@ def run_experiment(
     """Execute all replications, write CSV/JSON artifacts, return the summary."""
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
+    source = experiment_source(config)  # a rejected source leaves no directory
     out = resolve_out_dir(config, out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    if config.algorithm in MARKET_ALGORITHMS:
-        summary = _run_market_experiment(config, out, workers)
-    else:
-        summary = _run_bandit_experiment(config, out, workers)
+    is_market = config.algorithm in MARKET_ALGORITHMS
+    if is_market and _runs_lockstep(config, source):
+        # imported only for configs that use it, and before the workers
+        # fork, so that they share the loaded module
+        from . import lockstep  # noqa: F401
+    count = config.replications
+    k = min(workers, count)  # one contiguous block per worker
+    jobs = [(config, source, range(count * i // k, count * (i + 1) // k), out) for i in range(k)]
+    worker = _market_worker if is_market else _bandit_worker
+    reps = [r for outs in _map_reps(worker, jobs, workers) for r in outs]
 
+    T = config.horizon
+    marks = summary_checkpoints(T)
+    summarize = _market_summary if is_market else _bandit_summary
+    summary = {
+        "algorithm": config.algorithm,
+        "horizon": T,
+        "replications": count,
+        "checkpoints": marks,
+        "plateau_window": [max(1, T // 10), T],
+        **summarize(source, reps, marks),
+    }
     manifest = {
         "tool": "interview-markets",
         "version": __version__,
@@ -360,25 +389,8 @@ def run_experiment(
     return summary
 
 
-def _run_market_experiment(config: ExperimentConfig, out: Path, workers: int) -> dict:
-    market = build_market(config)
-    count = config.replications
-    if _runs_lockstep(config, market):  # one contiguous block per worker
-        # imported only for configs that use it, and before the workers
-        # fork, so that they share the loaded module
-        from . import lockstep  # noqa: F401
-
-        k = min(workers, count)
-        blocks = [range(count * i // k, count * (i + 1) // k) for i in range(k)]
-    else:
-        blocks = [range(rep, rep + 1) for rep in range(count)]
-    jobs = [(config, market, block, out) for block in blocks]
-    reps = [r for outs in _map_reps(_market_worker, jobs, workers) for r in outs]
-    reps.sort(key=lambda r: r.rep)
-    n = market.n
-    T = config.horizon
-
-    marks = summary_checkpoints(T)
+def _market_summary(market: Market, reps: list[RepOutput], marks: list[int]) -> dict:
+    n, T = market.n, marks[-1]  # the last summary checkpoint is the horizon
     series_stats = {}
     mean_rows = {}
     for k, kind in enumerate(SERIES_KINDS):
@@ -418,12 +430,7 @@ def _run_market_experiment(config: ExperimentConfig, out: Path, workers: int) ->
 
     return {
         "kind": "market",
-        "algorithm": config.algorithm,
         "market": market_to_dict(market),
-        "horizon": T,
-        "replications": config.replications,
-        "checkpoints": marks,
-        "plateau_window": [max(1, T // 10), T],
         "regret": series_stats,
         "invalid_lists": invalid_lists,
         "plateau": plateaus,
@@ -443,28 +450,15 @@ def _run_market_experiment(config: ExperimentConfig, out: Path, workers: int) ->
     }
 
 
-def _run_bandit_experiment(config: ExperimentConfig, out: Path, workers: int) -> dict:
-    means, model = bandit_arms(config)
-    jobs = [(config, means, model, rep, out) for rep in range(config.replications)]
-    reps = _map_reps(_bandit_worker, jobs, workers)
-    reps.sort(key=lambda r: r.rep)
-    T = config.horizon
-    marks = summary_checkpoints(T)
-    values = np.array([[r.regret_at[t] for t in marks] for r in reps])
-    mean, err = _mean_stderr(values)
+def _bandit_summary(arms, reps: list[BanditRepOutput], marks: list[int]) -> dict:
+    means, model = arms
+    mean, err = _mean_stderr(np.array([[r.regret_at[t] for t in marks] for r in reps]))
     pulls = np.array([r.last_quarter_pulls for r in reps])
-    top_pulled = [int(np.argmax(p)) + 1 for p in pulls]
-
     return {
         "kind": "bandit",
-        "algorithm": config.algorithm,
         "arms": list(means),
         "reward_kind": model.kind,
-        "horizon": T,
-        "replications": config.replications,
-        "checkpoints": marks,
-        "plateau_window": [max(1, T // 10), T],
         "regret": {"mean": mean, "stderr": err},
-        "plateau": _plateau(mean, marks, T),
-        "last_quarter_top_pulled": top_pulled,
+        "plateau": _plateau(mean, marks, marks[-1]),
+        "last_quarter_top_pulled": [int(np.argmax(p)) + 1 for p in pulls],
     }

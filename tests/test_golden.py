@@ -3,12 +3,13 @@
 Each case runs one small Bernoulli config through ``run_experiment`` and
 pins the sha256 of its series and phase CSVs and its summary, taken in
 file-name order. One more case, with ``log_rounds``, pins the per-round
-``rounds_rep*.csv`` and ``firms_rep*.csv`` logs as well. Any change to the round protocol, the RNG draw order, the
-estimators, the firm clocks, the regret accounting, the invariant counters or
-the CSV rendering moves a digest. Two logged cases run truncated-Gaussian
-markets, whose draws go through libm's ``log``, ``sqrt`` and ``cos`` in
-``random.gauss``; their digests hold on platforms whose libm rounds these as
-glibc does.
+``rounds_rep*.csv`` and ``firms_rep*.csv`` logs as well. Any change to the
+round protocol, the RNG draw order, the estimators, the firm clocks, the
+regret accounting, the invariant counters or the CSV rendering moves a
+digest. Two logged cases run truncated-Gaussian markets, and one
+``allprobe`` case truncated-Gaussian arms; their draws go through libm's
+``log``, ``sqrt`` and ``cos`` in ``random.gauss``, so their digests hold on
+platforms whose libm rounds these as glibc does.
 
 ``drr`` and ``eancdrr`` run as lockstep blocks (``lockstep.run_drr_block``,
 ``lockstep.run_eancdrr_block``), and once more with the runner held to the
@@ -137,3 +138,16 @@ def test_gaussian_round_logs_match_golden_digest(case, tmp_path):
     run_experiment(config_from_dict(raw), out_dir=str(tmp_path))
     digest = artifact_digest(tmp_path, ("series_", "phases_", "rounds_", "firms_"))
     assert digest == GAUSSIAN_GOLDEN[case]
+
+
+# allprobe on truncated-Gaussian arms: the regret's expected maximum of two
+# draws integrates the truncated CDF, whose cap and sigma are draw_reward's
+GAUSSIAN_BANDIT_GOLDEN = "85b1bf3161bf6e0e7ae92bacc98f857c1bcae0c76ff0998d80bae7ce5e627b40"
+
+
+def test_gaussian_bandit_matches_golden_digest(tmp_path):
+    raw = {"algorithm": "allprobe", "market": {"arms": [0.9, 0.75, 0.6]},
+           "reward_kind": "gaussian", "sigma": 0.1, "horizon": 400, "replications": 3,
+           "base_seed": 11, "stride": 25}
+    run_experiment(config_from_dict(raw), out_dir=str(tmp_path))
+    assert artifact_digest(tmp_path) == GAUSSIAN_BANDIT_GOLDEN

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -550,11 +551,32 @@ class TestRunExperiment:
         config = config_from_dict(
             base_config(market={"arms": [0.9, 0.5, 0.2]}, algorithm="allprobe")
         )
-        means, model = bandit_arms(config)
-        out = runner._bandit_worker((config, means, model, 1, tmp_path))
-        assert list(out.regret_at) == runner.summary_checkpoints(config.horizon)
+        outs = runner._bandit_worker((config, bandit_arms(config), range(1, 2), tmp_path))
+        assert [r.rep for r in outs] == [1]
+        assert list(outs[0].regret_at) == runner.summary_checkpoints(config.horizon)
         lines = (tmp_path / "series_rep0001.csv").read_text().splitlines()
         assert len(lines) == 1 + len(runner.checkpoint_rounds(config.horizon, config.stride))
+
+    @pytest.mark.parametrize("overrides", [
+        {"algorithm": "ancdrr", "log_rounds": True, "horizon": 400},
+        {"algorithm": "allprobe", "market": THREE_ARMS, "horizon": 2000},
+    ], ids=["scalar-logged", "bandit"])
+    def test_worker_holds_one_full_record_at_a_time(self, tmp_path, overrides):
+        # a block of 4 keeps every round of each replication until it is
+        # written; holding the previous record while the next runs would
+        # double the peak of a 1-replication run
+        def peak(replications):
+            config = config_from_dict(base_config(replications=replications, stride=1,
+                                                  **overrides))
+            tracemalloc.start()
+            try:
+                run_experiment(config, out_dir=str(tmp_path / str(replications)), workers=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # warm-up: one-time allocations are not the block's
+        assert peak(4) <= 1.25 * peak(1)
 
     def test_bandit_summary_on_horizons_below_four(self, tmp_path):
         # the final quarter is at least round T, so the top-pulled arm was pulled
@@ -741,6 +763,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: config field 'market.file'")
         assert str(tmp_path / "nope.json") in err
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"algorithm": "eap", "market": THREE_ARMS, "target_rank": 3},
+         "config field 'target_rank': must be below the number of arms, 3"),
+        ({"algorithm": "allprobe", "market": {"generator": {**_GENERATOR, "n": 2}}},
+         "config field 'market': bandit algorithms need a 1-agent market or arms, got n=2"),
+    ], ids=["eap-rank", "allprobe-two-agents"])
+    def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, overrides, message):
+        path = self.write_config(tmp_path, **overrides)
+        assert cli_main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()  # the source is resolved before the mkdir
 
     def test_market_file_resolved_next_to_config(self, tmp_path, capsys):
         save_market(named_example("k3"), tmp_path / "market.json")

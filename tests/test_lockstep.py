@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interview_markets import lockstep, runner
-from interview_markets.config import ExperimentConfig, config_from_dict
+from interview_markets.config import BANDIT_ALGORITHMS, ExperimentConfig, config_from_dict
 from interview_markets.errors import ProtocolError
 from interview_markets.lockstep import run_cia_block, run_drr_block, run_eancdrr_block
 from interview_markets.market import Market, RewardModel
@@ -179,16 +179,36 @@ def test_runner_picks_lockstep_for_bernoulli_cia_drr_and_eancdrr_without_logs(
     assert bool(calls) == scalar
 
 
-@pytest.mark.parametrize("algorithm", sorted(BLOCKS))
-def test_uneven_worker_blocks_write_identical_artifacts(tmp_path, algorithm):
-    extra = {"lambda": 0.5} if algorithm == "eancdrr" else {}
-    config = config_from_dict(_raw(algorithm=algorithm, replications=5, **extra))
-    run_experiment(config, out_dir=str(tmp_path / "one"), workers=1)
-    run_experiment(config, out_dir=str(tmp_path / "two"), workers=2)  # blocks of 2 and 3
-    names = sorted(p.name for p in (tmp_path / "one").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "two").iterdir())
-    for name in names:
-        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+# every config runs one contiguous block of replications per worker: the
+# lockstep engines, the scalar engine (with and without round logs), and the
+# bandits on Bernoulli and truncated-Gaussian arms
+UNEVEN_BLOCKS = {
+    "cia": {},
+    "drr": {"algorithm": "drr"},
+    "eancdrr": {"algorithm": "eancdrr", "lambda": 0.5},
+    "ancdrr": {"algorithm": "ancdrr"},
+    "ancdrr-logged": {"algorithm": "ancdrr", "log_rounds": True, "stride": 7},
+    "drr-gaussian": {"algorithm": "drr", "market": GAUSSIAN},
+    "allprobe": {"algorithm": "allprobe", "market": {"arms": [0.9, 0.75, 0.6]}},
+    "eap": {"algorithm": "eap", "market": {"arms": [0.9, 0.75, 0.6]}, "target_rank": 2,
+            "reward_kind": "gaussian", "sigma": 0.1},
+}
+
+
+@pytest.mark.parametrize("case", list(UNEVEN_BLOCKS))
+def test_uneven_worker_blocks_write_identical_artifacts(tmp_path, case):
+    raw = _raw(replications=5, **UNEVEN_BLOCKS[case])
+    if raw["algorithm"] in BANDIT_ALGORITHMS:
+        del raw["firm_mode"]
+    config = config_from_dict(raw)
+    run_experiment(config, out_dir=str(tmp_path / "1"), workers=1)
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    for workers in (2, 3):  # blocks of 2 and 3, then of 1, 2 and 2
+        out = tmp_path / str(workers)
+        run_experiment(config, out_dir=str(out), workers=workers)
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
 
 
 def test_block_builds_one_replication_record_at_a_time(tmp_path):
