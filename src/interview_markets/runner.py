@@ -1,17 +1,17 @@
 """Replicated experiment execution and artifact emission.
 
 ``run_experiment`` is the one path from a config to its artifacts. It
-resolves the config's market or arms, splits the replications into one
-contiguous block per worker, and maps ``_market_worker`` or
-``_bandit_worker`` over the blocks. A worker runs its block's replications
-one at a time, on the scalar engine or as one lockstep block, and writes
-each replication's files as soon as it finishes. It drops the full record
-before the next is built and hands back only what ``summary.json`` reads,
-so no process holds more than one replication's record (or a lockstep
-block's arrays plus one record). Every CSV line is rendered once, straight
-from its values: series rows here, the round logs as text in
-``RunRecorder``. The summary reads the records in job order, which is
-replication order, so output bytes do not depend on worker scheduling.
+resolves the config's market or arms, splits the replications into
+contiguous blocks (one per worker in lockstep, else one per replication)
+and maps ``_market_worker`` or ``_bandit_worker`` over them. A worker runs
+its block one replication at a time, or as one lockstep block, writes each
+replication's files as soon as it finishes, drops the full record before
+the next is built and hands back only what ``summary.json`` reads: no
+process holds more than one replication's record (or a lockstep block's
+arrays plus one record). Every CSV line is rendered once, straight from its
+values: series rows here, the round logs as text in ``RunRecorder``. The
+summary reads the records in job order, which is replication order, so
+output bytes do not depend on worker scheduling.
 Replication i uses seed base_seed + i; re-running any single replication
 reproduces its series exactly.
 """
@@ -352,12 +352,12 @@ def run_experiment(
     out.mkdir(parents=True, exist_ok=True)
 
     is_market = config.algorithm in MARKET_ALGORITHMS
-    if is_market and _runs_lockstep(config, source):
-        # imported only for configs that use it, and before the workers
-        # fork, so that they share the loaded module
+    in_lockstep = is_market and _runs_lockstep(config, source)
+    if in_lockstep:  # only when used; before the fork, so the workers share the module
         from . import lockstep  # noqa: F401
     count = config.replications
-    k = min(workers, count)  # one contiguous block per worker
+    # a lockstep block costs per round; one-replication jobs let idle workers cover a slow one
+    k = min(workers, count) if in_lockstep else count
     jobs = [(config, source, range(count * i // k, count * (i + 1) // k), out) for i in range(k)]
     worker = _market_worker if is_market else _bandit_worker
     reps = [r for outs in _map_reps(worker, jobs, workers) for r in outs]

@@ -21,6 +21,7 @@ from interview_markets.config import (
     bandit_arms,
     build_market,
     config_from_dict,
+    experiment_source,
     load_config,
 )
 from interview_markets.engine import RoundOutcome
@@ -564,13 +565,18 @@ class TestRunExperiment:
     def test_worker_holds_one_full_record_at_a_time(self, tmp_path, overrides):
         # a block of 4 keeps every round of each replication until it is
         # written; holding the previous record while the next runs would
-        # double the peak of a 1-replication run
-        def peak(replications):
-            config = config_from_dict(base_config(replications=replications, stride=1,
-                                                  **overrides))
+        # double the peak of a 1-replication block
+        config = config_from_dict(base_config(replications=4, stride=1, **overrides))
+        source = experiment_source(config)
+        market = config.algorithm in MARKET_ALGORITHMS
+        worker = runner._market_worker if market else runner._bandit_worker
+
+        def peak(count):
+            out = tmp_path / str(count)
+            out.mkdir(exist_ok=True)
             tracemalloc.start()
             try:
-                run_experiment(config, out_dir=str(tmp_path / str(replications)), workers=1)
+                worker((config, source, range(count), out))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -179,9 +179,10 @@ def test_runner_picks_lockstep_for_bernoulli_cia_drr_and_eancdrr_without_logs(
     assert bool(calls) == scalar
 
 
-# every config runs one contiguous block of replications per worker: the
-# lockstep engines, the scalar engine (with and without round logs), and the
-# bandits on Bernoulli and truncated-Gaussian arms
+# every config runs contiguous blocks of replications (one per worker in
+# lockstep, one per replication otherwise): the lockstep engines, the scalar
+# engine (with and without round logs), and the bandits on Bernoulli and
+# truncated-Gaussian arms
 UNEVEN_BLOCKS = {
     "cia": {},
     "drr": {"algorithm": "drr"},
