@@ -1,36 +1,16 @@
-"""Experiment configuration: canonical JSON schema, loading, validation.
+"""Experiment configuration: loading, validation, canonical JSON.
 
-Schema (all unknown keys rejected)::
-
-    {
-      "market": {"example": "coordfgs"}            # or {"file": "market.json"}
-                                                   # or {"generator": {...}}
-                                                   # or {"arms": [0.9, 0.5, ...]}
-      "algorithm": "cia",        # cia|drr|ancdrr|eancdrr|allprobe|eap|apem
-      "firm_mode": "uncertain",  # certain|uncertain, market algorithms only
-      "horizon": 50000,
-      "replications": 50,
-      "base_seed": 1,            # >= 0, as is market_seed
-      "lambda": 0.5,             # required iff algorithm == eancdrr
-      "epsilon": 0.1,            # allprobe/eap only
-      "target_rank": 2,          # eap only, defaults to 1
-      "reward_kind": "bernoulli",  # arms mode only
-      "sigma": 0.1,                # arms mode only
-      "out_dir": "out",          # optional non-empty string; env/flag can override
-      "stride": 100,
-      "log_rounds": false        # market algorithms only
-    }
-
-Generator params: n, m, min_gap, alpha_reducible (bool), reward_kind, sigma,
-market_seed (defaults to base_seed). They must be feasible:
-``1 <= n <= m`` and ``0 < min_gap`` with ``min_gap * m < 1``. A Gaussian
-reward model, from any market source or arms, needs a finite ``sigma > 0``.
-
-Integer fields take JSON numbers without a fractional part, real fields
-(``min_gap``, ``sigma``, ``lambda``, ``epsilon``, arms) only finite JSON
-numbers, and boolean fields only JSON booleans; anything else is a
-``ConfigError`` naming the field, as is a market file that is missing or
-malformed.
+A config is a JSON object with a ``market`` source (exactly one of
+``file``, ``example``, ``generator`` or ``arms``), an ``algorithm``, and the
+fields of ``_FIELDS``; a generator takes the fields of ``_GENERATOR_FIELDS``.
+Each row of these two tables gives a field's parser, its range check,
+whether it is required, and the algorithms or source kinds it applies to.
+Parsing, the "not applicable" errors and ``canonical_dict`` all read them;
+the defaults are those of ``ExperimentConfig`` and ``GeneratorParams``.
+README.md's "Config schema" block documents the same fields, and a test
+keeps the two in step. An unknown key, a value of the wrong type or out of
+range, or a market file that is missing or malformed is a ``ConfigError``
+naming the field.
 """
 
 from __future__ import annotations
@@ -40,7 +20,7 @@ import math
 import random
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import ConfigError, MarketError
 from .market import (
@@ -57,24 +37,6 @@ from .named_markets import EXAMPLE_NAMES, named_example
 MARKET_ALGORITHMS = ("cia", "drr", "ancdrr", "eancdrr")
 BANDIT_ALGORITHMS = ("allprobe", "eap", "apem")
 ALGORITHMS = MARKET_ALGORITHMS + BANDIT_ALGORITHMS
-
-_TOP_KEYS = {
-    "market",
-    "algorithm",
-    "firm_mode",
-    "horizon",
-    "replications",
-    "base_seed",
-    "lambda",
-    "epsilon",
-    "target_rank",
-    "reward_kind",
-    "sigma",
-    "out_dir",
-    "stride",
-    "log_rounds",
-}
-_GENERATOR_KEYS = {"n", "m", "min_gap", "alpha_reducible", "reward_kind", "sigma", "market_seed"}
 
 
 @dataclass(frozen=True)
@@ -109,7 +71,11 @@ class ExperimentConfig:
     log_rounds: bool = False
 
     def canonical_dict(self) -> dict:
-        """Semantic fields only, in a stable shape, for hashing/manifests."""
+        """Semantic fields only, in a stable shape, for hashing/manifests:
+        the market source and each field of ``_FIELDS`` that applies, but
+        not ``out_dir``. ``sigma`` counts only for a Gaussian model, and
+        ``log_rounds`` is always written, so bandit configs, which reject
+        it, hash it as false."""
         market: dict = {}
         if self.market_file is not None:
             market["file"] = self.market_file
@@ -119,27 +85,12 @@ class ExperimentConfig:
             market["generator"] = asdict(self.market_generator)
         if self.arms is not None:
             market["arms"] = list(self.arms)
-        d = {
-            "market": market,
-            "algorithm": self.algorithm,
-            "horizon": self.horizon,
-            "replications": self.replications,
-            "base_seed": self.base_seed,
-            "stride": self.stride,
-            "log_rounds": self.log_rounds,
-        }
-        if self.algorithm in MARKET_ALGORITHMS:
-            d["firm_mode"] = self.firm_mode
-        if self.algorithm == "eancdrr":
-            d["lambda"] = self.lam
-        if self.algorithm in ("allprobe", "eap"):
-            d["epsilon"] = self.epsilon
-        if self.algorithm == "eap":
-            d["target_rank"] = self.target_rank
-        if self.arms is not None:
-            d["reward_kind"] = self.reward_kind
-            if self.reward_kind == "gaussian":
-                d["sigma"] = self.sigma
+        kind = next(iter(market), None)
+        d = {"market": market, "algorithm": self.algorithm, "log_rounds": self.log_rounds}
+        for f in _FIELDS:
+            if f.applies_to(self.algorithm, kind) and f.key != "out_dir":
+                if f.key != "sigma" or self.reward_kind == "gaussian":
+                    d[f.key] = getattr(self, f.attr or f.key)
         return d
 
 
@@ -182,6 +133,106 @@ def _bool(fieldname: str, value) -> bool:
     return value
 
 
+def _text(fieldname: str, value) -> str:
+    if not isinstance(value, str) or not value:
+        _fail(fieldname, f"must be a non-empty string, got {value!r}")
+    return value
+
+
+def _choice(choices: tuple[str, ...], message: str = ""):
+    def parse(fieldname: str, value) -> str:
+        if value not in choices:
+            _fail(fieldname, message or f"must be one of {', '.join(choices)}")
+        return value
+
+    return parse
+
+
+def _at_least(low: int):
+    return lambda value: None if value >= low else f"must be >= {low}"
+
+
+@dataclass(frozen=True)
+class _Field:
+    """One config key. ``parse(fieldname, value)`` returns the value or fails
+    naming the field; ``check(value)`` returns what is wrong with the parsed
+    value, or None. A field whose ``applies`` names algorithms or source
+    kinds must be absent for every other one."""
+
+    key: str
+    parse: Callable
+    check: Callable = lambda value: None
+    applies: tuple[str, ...] = ()  # empty: every algorithm and source kind
+    required: bool = False  # else absent means the dataclass default
+    attr: str = ""  # the dataclass attribute, when it is not ``key``
+
+    def applies_to(self, algorithm: str, kind: Optional[str]) -> bool:
+        return not self.applies or algorithm in self.applies or kind in self.applies
+
+
+# Each table lists its fields in the order they are checked, which decides
+# the field that a config with several faults names.
+_FIELDS = (
+    _Field("horizon", _int, _at_least(1), required=True),
+    _Field("replications", _int, _at_least(1), required=True),
+    _Field("stride", _int, _at_least(1)),
+    _Field(
+        "firm_mode",
+        _choice(("certain", "uncertain"), "must be 'certain' or 'uncertain'"),
+        applies=MARKET_ALGORITHMS,
+    ),
+    _Field(
+        "lambda",
+        _float,
+        lambda lam: None if 0.0 < lam < 1.0 else "must lie strictly between 0 and 1",
+        applies=("eancdrr",),
+        required=True,
+        attr="lam",
+    ),
+    _Field("epsilon", _float, _at_least(0), applies=("allprobe", "eap")),
+    _Field("target_rank", _int, _at_least(1), applies=("eap",)),
+    _Field("reward_kind", _choice(REWARD_KINDS), applies=("arms",)),
+    _Field("sigma", _float, applies=("arms",)),  # with reward_kind, checked by RewardModel
+    _Field("out_dir", _text),
+    _Field("base_seed", _seed, required=True),
+    _Field("log_rounds", _bool, applies=MARKET_ALGORITHMS),
+)
+_GENERATOR_FIELDS = (
+    _Field("n", _int, required=True),
+    _Field("m", _int, required=True),
+    _Field("min_gap", _float, required=True),
+    _Field("alpha_reducible", _bool),
+    _Field("sigma", _float),
+    _Field("market_seed", _seed),  # absent: base_seed
+    _Field("reward_kind", _choice(REWARD_KINDS)),
+)
+_TOP_KEYS = {"market", "algorithm"} | {f.key for f in _FIELDS}
+_GENERATOR_KEYS = {f.key for f in _GENERATOR_FIELDS}
+
+
+def _parse_fields(fields, raw: dict, prefix: str, algorithm: str = "", kind: str = "") -> dict:
+    """The parsed value of each field given in ``raw``, by attribute name;
+    a field that does not apply must be absent, a required one present."""
+    values = {}
+    for f in fields:
+        name = prefix + f.key
+        if not f.applies_to(algorithm, kind):
+            if f.key in raw and f.applies[0] in ALGORITHMS:
+                _fail(name, f"not applicable to algorithm {algorithm!r}")
+            if f.key in raw:
+                _fail(name, f"not applicable to market.{kind}, which has its own reward model")
+        elif f.key in raw:
+            values[f.attr or f.key] = value = f.parse(name, raw[f.key])
+            problem = f.check(value)
+            if problem is not None:
+                _fail(name, problem)
+        elif f.required and f.applies:
+            _fail(name, f"required for the {algorithm} algorithm")
+        elif f.required:
+            _fail(name, "missing required field")
+    return values
+
+
 def _check_reward_model(fieldname: str, kind: str, sigma: float) -> None:
     """Check ``sigma`` with ``RewardModel``'s own rule, naming the field."""
     try:
@@ -190,166 +241,72 @@ def _check_reward_model(fieldname: str, kind: str, sigma: float) -> None:
         _fail(fieldname, str(exc))
 
 
-def config_from_dict(raw: dict, base_dir: Optional[Path] = None) -> ExperimentConfig:
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        _fail(sorted(unknown)[0], "unknown field")
-    for req in ("market", "algorithm", "horizon", "replications", "base_seed"):
-        if req not in raw:
-            _fail(req, "missing required field")
-
-    algorithm = raw["algorithm"]
-    if algorithm not in ALGORITHMS:
-        _fail("algorithm", f"must be one of {', '.join(ALGORITHMS)}")
-
-    market_raw = raw["market"]
-    if not isinstance(market_raw, dict) or len(market_raw) != 1:
+def _market_source(market, base_dir: Optional[Path]) -> tuple[str, dict]:
+    """The source kind and the ``ExperimentConfig`` attribute that holds it:
+    a market file's path (loaded once here to check it, again by
+    ``build_market``), an example name, ``GeneratorParams`` or arm means."""
+    if not isinstance(market, dict) or len(market) != 1:
         _fail("market", "must be an object with exactly one of file/example/generator/arms")
-    (source_kind, source_value), = market_raw.items()
-
-    market_file = market_example = None
-    market_generator = None
-    arms = None
-    if source_kind == "file":
-        if not isinstance(source_value, str) or not source_value:
-            _fail("market.file", f"must be a non-empty string, got {source_value!r}")
-        market_file = source_value
-        if base_dir is not None and not Path(market_file).is_absolute():
-            market_file = str(base_dir / market_file)
+    (kind, value), = market.items()
+    if kind == "file":
+        path = _text("market.file", value)
+        if base_dir is not None and not Path(path).is_absolute():
+            path = str(base_dir / path)
         try:
-            load_market(market_file)  # read once here to check it, again by build_market
+            load_market(path)
         except FileNotFoundError:
-            _fail("market.file", f"no such file: {market_file}")
+            _fail("market.file", f"no such file: {path}")
         except OSError as exc:  # e.g. a directory, or a name too long for the file system
-            _fail("market.file", f"cannot read {market_file!r}: {exc.strerror}")
+            _fail("market.file", f"cannot read {path!r}: {exc.strerror}")
         except ValueError as exc:  # a MarketError, or a name with a NUL byte
             _fail("market.file", str(exc))
-    elif source_kind == "example":
-        if source_value not in EXAMPLE_NAMES:
+        return kind, {"market_file": path}
+    if kind == "example":
+        if value not in EXAMPLE_NAMES:
             _fail(
                 "market.example",
-                f"unknown example {source_value!r}; known names: {', '.join(EXAMPLE_NAMES)}",
+                f"unknown example {value!r}; known names: {', '.join(EXAMPLE_NAMES)}",
             )
-        market_example = source_value
-    elif source_kind == "generator":
-        if not isinstance(source_value, dict):
+        return kind, {"market_example": value}
+    if kind == "generator":
+        if not isinstance(value, dict):
             _fail("market.generator", "must be an object")
-        bad = set(source_value) - _GENERATOR_KEYS
-        if bad:
-            _fail(f"market.generator.{sorted(bad)[0]}", "unknown field")
-        try:
-            market_generator = GeneratorParams(
-                n=_int("market.generator.n", source_value["n"]),
-                m=_int("market.generator.m", source_value["m"]),
-                min_gap=_float("market.generator.min_gap", source_value["min_gap"]),
-                alpha_reducible=_bool(
-                    "market.generator.alpha_reducible",
-                    source_value.get("alpha_reducible", True),
-                ),
-                reward_kind=source_value.get("reward_kind", "bernoulli"),
-                sigma=_float("market.generator.sigma", source_value.get("sigma", 0.1)),
-                market_seed=(
-                    _seed("market.generator.market_seed", source_value["market_seed"])
-                    if "market_seed" in source_value
-                    else None
-                ),
-            )
-        except KeyError as exc:
-            _fail(f"market.generator.{exc.args[0]}", "missing required field")
-        g = market_generator
-        if g.reward_kind not in REWARD_KINDS:
-            _fail("market.generator.reward_kind", f"must be one of {', '.join(REWARD_KINDS)}")
+        unknown = set(value) - _GENERATOR_KEYS
+        if unknown:
+            _fail(f"market.generator.{sorted(unknown)[0]}", "unknown field")
+        g = GeneratorParams(**_parse_fields(_GENERATOR_FIELDS, value, "market.generator."))
         _check_reward_model("market.generator.sigma", g.reward_kind, g.sigma)
         error = generator_param_error(g.n, g.m, g.min_gap)
         if error is not None:
             _fail(f"market.generator.{error[0]}", error[1])
-    elif source_kind == "arms":
-        if not isinstance(source_value, list) or len(source_value) < 2:
+        return kind, {"market_generator": g}
+    if kind == "arms":
+        if not isinstance(value, list) or len(value) < 2:
             _fail("market.arms", "must be a list of at least two means")
-        arms = tuple(_float("market.arms", x) for x in source_value)
+        arms = tuple(_float("market.arms", x) for x in value)
         for x in arms:
             if not 0.0 <= x <= 1.0:
                 _fail("market.arms", f"mean {x} outside [0, 1]")
-    else:
-        _fail("market", f"unknown source kind {source_kind!r}")
+        return kind, {"arms": arms}
+    _fail("market", f"unknown source kind {kind!r}")
 
-    horizon = _int("horizon", raw["horizon"])
-    if horizon < 1:
-        _fail("horizon", "must be >= 1")
-    replications = _int("replications", raw["replications"])
-    if replications < 1:
-        _fail("replications", "must be >= 1")
-    stride = _int("stride", raw.get("stride", 100))
-    if stride < 1:
-        _fail("stride", "must be >= 1")
 
-    for key in ("firm_mode", "log_rounds"):
-        if key in raw and algorithm not in MARKET_ALGORITHMS:
-            _fail(key, f"not applicable to algorithm {algorithm!r}")
-    firm_mode = raw.get("firm_mode", "certain")
-    if firm_mode not in ("certain", "uncertain"):
-        _fail("firm_mode", "must be 'certain' or 'uncertain'")
-
-    lam = None
-    if algorithm == "eancdrr":
-        if "lambda" not in raw:
-            _fail("lambda", "required for the eancdrr algorithm")
-        lam = _float("lambda", raw["lambda"])
-        if not 0.0 < lam < 1.0:
-            _fail("lambda", "must lie strictly between 0 and 1")
-    elif "lambda" in raw:
-        _fail("lambda", f"not applicable to algorithm {algorithm!r}")
-
-    if "epsilon" in raw and algorithm not in ("allprobe", "eap"):
-        _fail("epsilon", f"not applicable to algorithm {algorithm!r}")
-    epsilon = _float("epsilon", raw.get("epsilon", 0.1))
-    if epsilon < 0:
-        _fail("epsilon", "must be >= 0")
-
-    if "target_rank" in raw and algorithm != "eap":
-        _fail("target_rank", f"not applicable to algorithm {algorithm!r}")
-    target_rank = _int("target_rank", raw.get("target_rank", 1))
-    if target_rank < 1:
-        _fail("target_rank", "must be >= 1")
-
-    if algorithm in BANDIT_ALGORITHMS:
-        if arms is None and market_example is None and market_file is None and market_generator is None:
-            _fail("market", "bandit algorithms need arms or a one-agent market")
-    else:
-        if arms is not None:
-            _fail("market.arms", "market algorithms need a two-sided market, not arms")
-
-    for key in ("reward_kind", "sigma"):
-        if key in raw and arms is None:
-            _fail(key, f"not applicable to market.{source_kind}, which has its own reward model")
-    reward_kind = raw.get("reward_kind", "bernoulli")
-    if reward_kind not in REWARD_KINDS:
-        _fail("reward_kind", f"must be one of {', '.join(REWARD_KINDS)}")
-    sigma = _float("sigma", raw.get("sigma", 0.1))
-    _check_reward_model("sigma", reward_kind, sigma)
-    out_dir = raw.get("out_dir")
-    if "out_dir" in raw and (not isinstance(out_dir, str) or not out_dir):
-        _fail("out_dir", f"must be a non-empty string, got {out_dir!r}")
-
-    return ExperimentConfig(
-        algorithm=algorithm,
-        horizon=horizon,
-        replications=replications,
-        base_seed=_seed("base_seed", raw["base_seed"]),
-        market_file=market_file,
-        market_example=market_example,
-        market_generator=market_generator,
-        arms=arms,
-        firm_mode=firm_mode,
-        lam=lam,
-        epsilon=epsilon,
-        target_rank=target_rank,
-        reward_kind=reward_kind,
-        sigma=sigma,
-        out_dir=out_dir,
-        stride=stride,
-        log_rounds=_bool("log_rounds", raw.get("log_rounds", False)),
-    )
+def config_from_dict(raw: dict, base_dir: Optional[Path] = None) -> ExperimentConfig:
+    unknown = set(raw) - _TOP_KEYS
+    if unknown:
+        _fail(sorted(unknown)[0], "unknown field")
+    for key in ["market", "algorithm"] + [f.key for f in _FIELDS if f.required and not f.applies]:
+        if key not in raw:
+            _fail(key, "missing required field")
+    algorithm = _choice(ALGORITHMS)("algorithm", raw["algorithm"])
+    kind, source = _market_source(raw["market"], base_dir)
+    if kind == "arms" and algorithm in MARKET_ALGORITHMS:
+        _fail("market.arms", "market algorithms need a two-sided market, not arms")
+    values = _parse_fields(_FIELDS, raw, "", algorithm, kind)
+    config = ExperimentConfig(algorithm=algorithm, **source, **values)
+    if kind == "arms":
+        _check_reward_model("sigma", config.reward_kind, config.sigma)
+    return config
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -370,7 +371,9 @@ def generator_param_error(n: int, m: int, min_gap: float) -> Optional[tuple[str,
         return "m", f"need n <= m, got n={n}, m={m}"
     if min_gap <= 0:
         return "min_gap", f"must be positive, got {min_gap}"
-    if min_gap * max(n, m) >= 1.0:
+    # more levels than a float can count: the generator cannot lay them out,
+    # and the product would overflow
+    if max(n, m) > sys.float_info.max or min_gap * max(n, m) >= 1.0:
         return "min_gap", f"{min_gap} infeasible for {max(n, m)} levels in [0, 1]"
     return None
 
@@ -502,7 +505,7 @@ def market_from_dict(d: dict) -> Market:
             return convert(d[key])
         except KeyError:
             raise MarketError(f"market key {key!r} is missing") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # overflow: beyond float range
             raise MarketError(f"market key {key!r}: {exc}") from None
 
     if not isinstance(d, dict):

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -393,6 +394,9 @@ EDITS = st.one_of(
 class TestConfigParsingProperty:
     @settings(max_examples=300, deadline=None)
     @given(base=st.sampled_from(VALID_CONFIGS), edits=st.lists(EDITS, min_size=1, max_size=3))
+    # min_gap times a generator size beyond float range
+    @example(base=VALID_CONFIGS[0],
+             edits=[("top", "market", {"generator": {"n": 2, "m": 10**400, "min_gap": 0.2}})])
     def test_any_edit_parses_or_raises_config_error(self, base, edits):
         raw = json.loads(json.dumps(base))
         for scope, key, value in edits:
@@ -417,6 +421,16 @@ class TestConfigParsingProperty:
             return
         assert isinstance(config, ExperimentConfig)
         json.dumps(config.canonical_dict(), allow_nan=False)
+
+
+def test_readme_schema_names_exactly_the_config_fields():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("### Config schema (canonical JSON)", 1)[1].split("```jsonc", 1)[1]
+    block = block.split("```", 1)[0]
+    top = re.findall(r'^  "(\w+)":', block, re.MULTILINE)
+    generator = re.search(r'\{"generator": \{(.*?)\}\}', block, re.DOTALL).group(1)
+    assert sorted(top) == sorted(_TOP_KEYS)
+    assert sorted(re.findall(r'"(\w+)":', generator)) == sorted(_GENERATOR_KEYS)
 
 
 class TestNamedExamples:
@@ -814,6 +828,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: ") and message in err
+
+    def test_number_beyond_float_range_in_market_file_fails_in_one_line(self, tmp_path, capsys):
+        (tmp_path / "market.json").write_text(
+            '{"n": 1, "m": 2, "agent_means": [0.9, 0.1], "firm_means": [0.5, 0.4],'
+            f' "reward_kind": "gaussian", "sigma": {10**400}}}'
+        )
+        path = self.write_config(tmp_path, algorithm="ancdrr", market={"file": "market.json"})
+        assert cli_main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: config field 'market.file': market key 'sigma'")
+        assert cli_main(["stable", str(tmp_path / "market.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: market key 'sigma'")
 
     def test_stable_reports_a_directory_in_one_line(self, tmp_path, capsys):
         assert cli_main(["stable", str(tmp_path)]) == 2

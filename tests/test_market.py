@@ -346,6 +346,9 @@ class TestMarketFile:
         ("n", True), ("n", "1"), ("n", 1.0), ("m", False), ("m", "1"),
         ("agent_means", [True]), ("agent_means", ["0.5"]), ("firm_means", [[False]]),
         ("sigma", True), ("sigma", "0.1"),
+        pytest.param("sigma", 10**400, id="sigma-beyond-float-range"),
+        pytest.param("agent_means", [10**400], id="agent_means-beyond-float-range"),
+        pytest.param("firm_means", [[-10**400]], id="firm_means-beyond-float-range"),
     ])
     def test_booleans_and_numeric_strings_name_the_key(self, key, value):
         d = {"n": 1, "m": 1, "agent_means": [0.5], "firm_means": [0.5], key: value}
