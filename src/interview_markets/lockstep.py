@@ -10,11 +10,11 @@ Every replication's :class:`RepOutput` equals the one
 
 - the random draws come from the replication's own ``random.Random``
   streams in the scalar engine's order: from the reward stream, for each
-  agent in index order and each of its interviews (the firm it targets,
-  then its anchor if it has one, then the round-robin firm), the agent-side
-  draw and then, for uncertain firms, the firm-side draw; after those, one
-  reward draw per matched agent in index order; from the policy stream,
-  ``eancdrr``'s lambda draws in agent order;
+  agent in index order and each of its interviews (the firms the block
+  hands to :meth:`_Block.settle`, then the round-robin firm), the
+  agent-side draw and then, for uncertain firms, the firm-side draw; after
+  those, one reward draw per matched agent in index order; from the policy
+  stream, ``eancdrr``'s lambda draws in agent order;
 - ``cia``'s deferred acceptance is ``market._deferred_acceptance`` itself;
 - the ranking rule is ``estimation._sort_key`` (``market.rank_order`` for
   certain firms) as numpy keys: a stable argsort gives a ``pref_list``, and
@@ -47,34 +47,35 @@ from .runner import (RepOutput, checkpoint_rounds, market_baselines, replication
                      summary_checkpoints)
 
 class _Estimates:
-    """Sums and counts of one side for a block, as flat ``(R, owners, peers)``
-    arrays, with each pair's ranking key: minus its mean, or -inf while
+    """Sums and counts of one side for a block, with each pair's ranking key
+    as an ``(R, owners, peers)`` array: minus its mean, or -inf while
     unobserved. A stable argsort of the keys, or an argmin over some of
     them, gives ``estimation._sort_key``'s order: unobserved peers first,
     then decreasing mean, ties by index."""
 
     def __init__(self, shape: tuple[int, int, int]):
-        self.shape = shape
-        size = shape[0] * shape[1] * shape[2]
-        self.sums = np.zeros(size)
-        self.counts = np.zeros(size, dtype=np.int64)
-        self.keys = np.full(size, -np.inf)
+        self.keys = np.full(shape, -np.inf)
+        self._flat = self.keys.reshape(-1)  # a view: record writes the keys through it
+        self._sums = np.zeros(self._flat.size)
+        self._counts = np.zeros(self._flat.size, dtype=np.int64)
 
     def record(self, idx: np.ndarray, values: np.ndarray) -> None:
-        """Add one observation per flat index; a repeated index counts twice."""
-        size = len(self.keys)
-        self.sums += np.bincount(idx, values, size)
-        self.counts += np.bincount(idx, minlength=size)
-        self.keys[idx] = -self.sums[idx] / self.counts[idx]
+        """Add one observation per flat ``(R, owners, peers)`` index; a
+        repeated index counts twice."""
+        size = self._flat.size
+        self._sums += np.bincount(idx, values, size)
+        self._counts += np.bincount(idx, minlength=size)
+        self._flat[idx] = -self._sums[idx] / self._counts[idx]
 
     def lists(self) -> np.ndarray:
-        return np.argsort(self.keys.reshape(self.shape), axis=-1, kind="stable")
+        return np.argsort(self.keys, axis=-1, kind="stable")
 
 
 class _Block:
-    """What every lockstep block keeps: each replication's reward stream,
-    both sides' estimates, the regret sums and validity flags, the
-    convergence streaks and the invariant event counts."""
+    """What every lockstep block keeps: each replication's reward and policy
+    streams, both sides' estimates, the flat row offsets of its arrays, the
+    regret sums and validity flags, the convergence streaks and the
+    invariant event counts."""
 
     def __init__(self, config, market: Market, reps: Sequence[int]):
         self.config, self.reps = config, list(reps)
@@ -88,12 +89,13 @@ class _Block:
         # of draws (random() never returns 2)
         streams = [replication_streams(config.base_seed + rep) for rep in self.reps]
         self._streams = [iter(rewards.random, 2.0) for rewards, _ in streams]
-        self._policy = [iter(policy.random, 2.0) for _, policy in streams]
+        self.policy = [iter(policy.random, 2.0) for _, policy in streams]
 
         self.agents = np.arange(n)
-        block = np.arange(R)
-        self._a_flat = ((block[:, None] * n + self.agents) * m)[:, :, None]  # + firm
-        self._f_flat = (block * (m * n))[:, None, None] + self.agents[:, None]  # + firm * n
+        self.firm_rows = np.arange(R)[:, None] * m  # + firm: flat (R, m) index
+        self.agent_rows = np.arange(R)[:, None] * n  # + agent: flat (R, n) index
+        self._a_flat = ((self.agent_rows + self.agents) * m)[..., None]  # + firm
+        self._f_flat = (self.firm_rows * n + self.agents)[..., None]  # + firm * n
         self._a_means = np.tile(self.agent_means.ravel(), R)  # at the same flat indices
         self._f_means = np.tile(self.firm_means.ravel(), R)
         self._matched_means = np.hstack([self.agent_means, np.zeros((n, 1))])  # firm -1: 0
@@ -118,35 +120,26 @@ class _Block:
         # each replication's count of every invariant event, as RunRecorder's
         self.events = {name: np.zeros(R, dtype=np.int64) for name in INVARIANTS}
 
-    def settle(self, t: int, targets: np.ndarray, match: np.ndarray, anchors=None) -> None:
+    def settle(self, t: int, firms: Sequence[np.ndarray], match: np.ndarray) -> None:
         """Round ``t`` after hiring: interviews, rewards of ``match`` (-1 for
         unmatched agents), regret and convergence. Each agent interviews its
-        target, then its anchor when ``anchors`` holds one (-1 for none),
-        then its round-robin firm; a repeated firm is sampled twice. Hiring
-        reads only round-start estimates, so the interviews are drawn and
-        recorded after it, as in the engine."""
+        firm in each ``(R, n)`` array of ``firms`` (a firm index, never -1),
+        in order, then its round-robin firm; a repeated firm is sampled
+        twice. Hiring reads only round-start estimates, so the interviews are
+        drawn and recorded after it, as in the engine."""
         R, n, sides = self.R, self.n, self.sides
-        rr = self._rr[t % self.m]
-        if anchors is None:
-            fs = np.empty((R, n, 2), dtype=np.intp)
-            fs[..., 0], fs[..., 1] = targets, rr
-        else:
-            fs = np.empty((R, n, 3), dtype=np.intp)
-            fs[..., 0], fs[..., 1], fs[..., 2] = targets, anchors, rr
-        used = fs >= 0
-        every = used.all()
-        counts = repeat(fs[0].size * sides) if every else (used.sum((1, 2)) * sides).tolist()
-        total = fs.size * sides if every else sum(counts)
+        fs = np.empty((R, n, len(firms) + 1), dtype=np.intp)
+        for slot, f in enumerate(firms):
+            fs[..., slot] = f
+        fs[..., -1] = self._rr[t % self.m]
         # Streams are independent, so drawing every replication's interviews
         # and then every replication's rewards keeps each stream's order.
-        draws = chain.from_iterable(map(islice, self._streams, counts))
-        interviews = np.fromiter(draws, float, total).reshape(-1, sides)
-        idx = self._a_flat + fs  # masked in draw order: replication, agent, slot
-        idx = idx.ravel() if every else idx[used]
+        draws = chain.from_iterable(map(islice, self._streams, repeat(fs[0].size * sides)))
+        interviews = np.fromiter(draws, float, fs.size * sides).reshape(-1, sides)
+        idx = (self._a_flat + fs).ravel()  # in draw order: replication, agent, slot
         self.agent_est.record(idx, interviews[:, 0] < self._a_means[idx])
         if self.uncertain:
-            idx = self._f_flat + fs * n
-            idx = idx.ravel() if every else idx[used]
+            idx = (self._f_flat + fs * n).ravel()
             self.firm_est.record(idx, interviews[:, 1] < self._f_means[idx])
 
         matched = match >= 0
@@ -201,13 +194,13 @@ class _FirmPolicy:
         R, n, m = blk.R, blk.n, blk.m
         self.uncertain, self.events = blk.uncertain, blk.events
         self.keys = (
-            blk.firm_est.keys.reshape(R, m, n)  # a view: record updates it in place
+            blk.firm_est.keys  # record updates it in place
             if blk.uncertain
             else np.broadcast_to(-blk.firm_means, (R, m, n))  # OracleEstimator's order
         )
         self.r = np.zeros((R, m, n), dtype=np.int64)
         self.c = np.zeros((R, m), dtype=np.int64)
-        self._pool_rows = np.arange(R * m).reshape(R, m) * n  # + agent: flat (R, m, n) index
+        self._pool_rows = (blk.firm_rows + np.arange(m)) * n  # + agent: flat (R, m, n) index
         self._abstained = np.zeros((R, m), dtype=bool)
 
     def decide(self, pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,7 +252,7 @@ def run_cia_block(config, market: Market, reps: Sequence[int]) -> Iterator[RepOu
                 raise ProtocolError(f"replication {rep}: agent {row.index(-1)} unmatched", t)
             rows.append(row)
         match = np.array(rows)
-        blk.settle(t, match, match)
+        blk.settle(t, (match,), match)
     return blk.outputs()
 
 
@@ -278,8 +271,7 @@ def run_drr_block(config, market: Market, reps: Sequence[int]) -> Iterator[RepOu
     R, n, m = blk.R, blk.n, blk.m
     length = drr_phase_length(n)
     agents, firms = blk.agents, np.arange(m)[:, None]
-    firm_rows = np.arange(R)[:, None] * m  # + firm: flat (R, m) index
-    live = blk.agent_est.keys.reshape(R, n, m)  # a view: record updates it in place
+    live = blk.agent_est.keys  # record updates it in place
     firm_policy = _FirmPolicy(blk)
 
     # agents: rejection clocks, keys frozen at t_gs, and what a commit fixes
@@ -325,7 +317,7 @@ def run_drr_block(config, market: Market, reps: Sequence[int]) -> Iterator[RepOu
         pool = apply[:, None, :] & (choice[:, None, :] == firms)  # (R, m, n)
         best, hired = firm_policy.decide(pool)  # one applicant each, so every offer is taken
         firm_policy.c[~hired] = t
-        at_choice = firm_rows + choice
+        at_choice = blk.firm_rows + choice
         matched = apply & (np.where(hired, best, -1).ravel()[at_choice] == agents)
         match = np.where(matched, choice, -1)
 
@@ -359,7 +351,7 @@ def run_drr_block(config, market: Market, reps: Sequence[int]) -> Iterator[RepOu
                 log.append({"index": len(log), "t_gs": t + 1,
                             "triggers": "+".join(sorted(kinds)), "committed": None})
 
-        blk.settle(t, choice, match)
+        blk.settle(t, (choice,), match)
 
     # V' is a subset of V and |V'| >= m - n by construction (each agent holds
     # at most one firm), drr expects collisions, its agents always keep a
@@ -374,30 +366,25 @@ def run_eancdrr_block(config, market: Market, reps: Sequence[int]) -> Iterator[R
     ``decentral.ExtendedCoordinationFreePolicy`` and
     ``firms.StrategicFirmPolicy`` as masks: each agent targets the first firm
     under its live keys that never rejected it or was reopened since
-    (``_best_open_firm``, which raises when there is none); an anchored
-    agent whose target is not its anchor probes with probability lambda,
-    applying to the target and then the anchor, and otherwise applies to
-    the anchor alone. Firms decide by
-    :meth:`_FirmPolicy.decide`, an agent with two offers takes its first
-    application's, and the feedback follows
+    (``_best_open_firm``, which raises when there is none). In round 1 no
+    agent has an anchor yet, so each applies to its target alone, the
+    coordination-free rule. From round 2 every agent holds an anchor: one
+    whose target is not its anchor probes with probability lambda, applying
+    to the target and then the anchor, and otherwise applies to the anchor
+    alone. Firms decide by :meth:`_FirmPolicy.decide`, an agent with two
+    offers takes its first application's, and the feedback follows
     ``decentral._apply_v_events_then_rejections``.
     """
     blk = _Block(config, market, reps)
     R, n, m, lam = blk.R, blk.n, blk.m, config.lam
     agents, firm_ids = blk.agents, np.arange(m)
     firms = firm_ids[:, None]
-    firm_rows = np.arange(R)[:, None] * m  # + firm: flat (R, m) index
-    agent_rows = np.arange(R)[:, None] * n  # + agent: flat (R, n) index
-    live = blk.agent_est.keys.reshape(R, n, m)  # a view: record updates it in place
+    live = blk.agent_est.keys  # record updates it in place
     firm_policy = _FirmPolicy(blk)
-    fr_flat = firm_policy.r.reshape(-1)  # a view
 
-    # agents: rejection clocks, reopened firms and anchors (-1: none yet)
+    # agents: rejection clocks and reopened firms
     r = np.zeros((R, n, m), dtype=np.int64)
     reopened = np.zeros((R, n, m), dtype=bool)
-    r_flat, reopened_flat = r.reshape(-1), reopened.reshape(-1)  # views
-    pair_rows = blk._a_flat[..., 0]  # + firm: flat (R, n, m) index
-    anchor = np.full((R, n), -1)
     prev_hold = np.full((R, m), -1)  # the agent each firm held last round, -1: none
 
     for t in range(1, config.horizon + 1):
@@ -407,15 +394,18 @@ def run_eancdrr_block(config, market: Market, reps: Sequence[int]) -> Iterator[R
             i, a = np.argwhere(~nonempty)[0]
             raise ProtocolError(f"replication {blk.reps[i]}: agent {a} has no open firm", t)
         target = np.where(is_open, live, np.inf).argmin(-1)  # (R, n)
-        anchored = anchor >= 0
-        # one lambda draw per anchored agent whose target is not its anchor,
-        # in agent order, from the replication's policy stream
-        drawing = anchored & (target != anchor)
+        if t == 1:  # no anchors yet: the target stands in, so no agent probes
+            anchor, interviews = target, (target,)
+        else:
+            interviews = (target, anchor)
+        # one lambda draw per agent whose target is not its anchor, in agent
+        # order, from the replication's policy stream
+        drawing = target != anchor
         probe = np.zeros((R, n), dtype=bool)
         if drawing.any():
-            draws = chain.from_iterable(map(islice, blk._policy, drawing.sum(1).tolist()))
+            draws = chain.from_iterable(map(islice, blk.policy, drawing.sum(1).tolist()))
             probe[drawing] = np.fromiter(draws, float) < lam
-        first = np.where(anchored & ~probe, anchor, target)  # then the anchor if probing
+        first = np.where(probe, target, anchor)  # then the anchor if probing
         second = np.where(probe, anchor, -1)
         pool = (first[:, None, :] == firms) | (second[:, None, :] == firms)  # (R, m, n)
 
@@ -423,10 +413,10 @@ def run_eancdrr_block(config, market: Market, reps: Sequence[int]) -> Iterator[R
         offer = np.where(offering, best, -1).ravel()
         # acceptance by priority: an agent takes its first application's
         # offer, else its second's; an offer it declines leaves the firm vacant
-        took_first = offer[firm_rows + first] == agents
-        took_second = probe & (offer[firm_rows + anchor] == agents)
+        took_first = offer[blk.firm_rows + first] == agents
+        took_second = probe & (offer[blk.firm_rows + anchor] == agents)
         match = np.where(took_first, first, np.where(took_second, anchor, -1))
-        hold = np.where(offering & (match.ravel()[agent_rows + best] == firm_ids), best, -1)
+        hold = np.where(offering & (match.ravel()[blk.agent_rows + best] == firm_ids), best, -1)
 
         # feedback: V' is the vacant firms, V adds those whose hire changed
         vacant = hold < 0
@@ -438,18 +428,19 @@ def run_eancdrr_block(config, market: Market, reps: Sequence[int]) -> Iterator[R
         # no one, and a hire from a one-applicant pool passes no one over.
         reopened |= changed[:, None, :] & (r >= 1)
         held = hold.ravel()
-        for f, applied in ((first, True), (anchor, probe)):
-            h = held[firm_rows + f]
+        for firm, applied in ((first, True), (anchor, probe)):
+            h = held[blk.firm_rows + firm]
             rejected = applied & (h >= 0) & (h != agents)
             if rejected.any():
-                idx = (pair_rows + f)[rejected]
-                r_flat[idx] = t
-                reopened_flat[idx] = False
-                fr_flat[((firm_rows + f) * n + agents)[rejected]] = t
+                i, a = np.nonzero(rejected)
+                f = firm[i, a]
+                r[i, a, f] = t
+                reopened[i, a, f] = False
+                firm_policy.r[i, f, a] = t
 
-        blk.settle(t, target, match, anchor)
-        # anchor: the firm held, else (first round) the firm first applied to
-        anchor = np.where(match >= 0, match, np.where(anchored, anchor, first))
+        blk.settle(t, interviews, match)
+        # the firm held, else the anchor kept (round 1: the target applied to)
+        anchor = np.where(match >= 0, match, anchor)
         prev_hold = hold
 
     # V' is a subset of V and |V'| >= m - n by construction (each agent holds

@@ -27,6 +27,9 @@ REWARD_KINDS = ("bernoulli", "gaussian", "point")
 # willing to scan.
 MAX_AGENTS_FOR_ENUMERATION = 8
 MAX_MATCHINGS_FOR_ENUMERATION = 5_000_000
+# Generator guard: agent-firm pairs n * m a generated market may hold; both
+# generators lay out 10**6 pairs in a few seconds.
+MAX_GENERATED_PAIRS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -375,6 +378,8 @@ def generator_param_error(n: int, m: int, min_gap: float) -> Optional[tuple[str,
     # and the product would overflow
     if max(n, m) > sys.float_info.max or min_gap * max(n, m) >= 1.0:
         return "min_gap", f"{min_gap} infeasible for {max(n, m)} levels in [0, 1]"
+    if n * m > MAX_GENERATED_PAIRS:
+        return "m", f"need n * m <= {MAX_GENERATED_PAIRS}, got n={n}, m={m}"
     return None
 
 

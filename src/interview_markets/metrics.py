@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Collection, Optional, Sequence
+from typing import Collection, Sequence
 
 from .engine import RoundOutcome
 from .estimation import validity
@@ -73,6 +73,8 @@ class RunRecorder:
     is contained in the hiring-change set, at least m-n firms are vacant, at
     most one application per firm when `expect_no_collisions`, gamma stays 1
     in certain mode, and no firm abstains twice in a row. At each of
+    ``retain_rounds``, ``stored_rows`` gains the four cumulative regret rows
+    (``SERIES_KINDS`` order, one value per agent). At each of
     ``validity_rounds``, ``invalid[t]`` flags (1) every agent whose list in
     ``agent_est`` is invalid for its agent-optimal stable partner ``best``.
     At each of ``log_rounds``, ``round_log`` and ``firm_log`` each gain one
@@ -90,14 +92,14 @@ class RunRecorder:
         agent_est,
         best: Sequence[int],
         validity_rounds: Collection[int],
+        retain_rounds: Collection[int],
         expect_no_collisions: bool = False,
         certain_firms: bool = False,
-        retain_rounds: Optional[Sequence[int]] = None,
         log_rounds: Collection[int] = (),
     ):
         self.market = market
         n = market.n
-        self._retain = frozenset(retain_rounds) if retain_rounds is not None else None
+        self._retain = frozenset(retain_rounds)
         self._stored: dict[int, tuple] = {}  # t -> one row per series kind
         # the pseudo twins accumulate baseline minus the matched firm's mean:
         # same expectation as the realized series, far lower variance
@@ -133,7 +135,7 @@ class RunRecorder:
             cpo[a] += bo - u
             cpp[a] += bp - u
         t = outcome.t
-        if self._retain is None or t in self._retain:
+        if t in self._retain:
             self._stored[t] = (tuple(co), tuple(cp), tuple(cpo), tuple(cpp))
         if t in self._validity_rounds:
             est = self._agent_est

@@ -29,6 +29,7 @@ from interview_markets.engine import RoundOutcome
 from interview_markets.errors import ConfigError
 from interview_markets.estimation import EstimatorState
 from interview_markets.market import (
+    MAX_GENERATED_PAIRS,
     Market,
     Matching,
     RewardModel,
@@ -236,11 +237,18 @@ class TestGeneratorFeasibility:
         ({"n": 0, "m": 3, "min_gap": -0.5}, "n"),
         ({"reward_kind": "gaussian", "sigma": 0}, "sigma"),
         ({"reward_kind": "gaussian", "sigma": -0.1}, "sigma"),
+        # min_gap * m < 1 holds, but the generators could not lay out that many pairs
+        ({"n": 1, "m": 10**300, "min_gap": 1e-301}, "m"),
+        ({"n": 1000, "m": MAX_GENERATED_PAIRS // 1000 + 1, "min_gap": 1e-9}, "m"),
     ])
     def test_infeasible_generator_is_a_config_error(self, edits, fieldname):
         raw = base_config(market={"generator": {**_GENERATOR, **edits}})
         with pytest.raises(ConfigError, match=f"'market.generator.{fieldname}'"):
             config_from_dict(raw)
+
+    def test_generator_at_the_pair_cap_parses(self):
+        generator = {"n": 1000, "m": MAX_GENERATED_PAIRS // 1000, "min_gap": 1e-9}
+        config_from_dict(base_config(market={"generator": generator}))
 
     def test_feasible_generator_builds(self):
         raw = base_config(market={"generator": {**_GENERATOR, "m": 4, "min_gap": 0.24}})
@@ -397,6 +405,9 @@ class TestConfigParsingProperty:
     # min_gap times a generator size beyond float range
     @example(base=VALID_CONFIGS[0],
              edits=[("top", "market", {"generator": {"n": 2, "m": 10**400, "min_gap": 0.2}})])
+    # a generator size inside float range that no machine could build
+    @example(base=VALID_CONFIGS[0],
+             edits=[("top", "market", {"generator": {"n": 1, "m": 10**300, "min_gap": 1e-301}})])
     def test_any_edit_parses_or_raises_config_error(self, base, edits):
         raw = json.loads(json.dumps(base))
         for scope, key, value in edits:
@@ -693,7 +704,7 @@ class TestCsvRendering:
     def test_round_log_lines_render_as_joined_cells(self, t, rewards):
         market = Market(((0.9, 0.5), (0.4, 0.8)), ((0.5, 0.4), (0.3, 0.6)))
         recorder = RunRecorder(market, (0.9, 0.8), (0.5, 0.4), EstimatorState(2, 2), (0, 1), (),
-                               log_rounds=[t])
+                               retain_rounds=[t], log_rounds=[t])
         for _ in range(2):  # the second round's cells come from the memo
             recorder(RoundOutcome(t, ((0, 1), (1, 0, 1)), ((0,), ()), (1, 0),
                                   Matching((0, None), 2), rewards, frozenset({1}), frozenset({1})))
@@ -762,6 +773,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: config field 'market.generator.n'")
+
+    def test_validate_rejects_generator_beyond_the_pair_cap_in_one_line(self, tmp_path, capsys):
+        market = {"generator": {"n": 1, "m": 10**300, "min_gap": 1e-301}}
+        path = self.write_config(tmp_path, market=market)
+        assert cli_main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: config field 'market.generator.m': need n * m <= ")
 
     @pytest.mark.parametrize("overrides, fieldname", [
         ({"algorithm": "apem", "market": THREE_ARMS, "reward_kind": "gaussian", "sigma": 0},

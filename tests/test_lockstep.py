@@ -76,6 +76,33 @@ def test_blocks_equal_scalar_replications(
     assert outs == [run_market_replication(config, market, rep) for rep in range(replications)]
 
 
+# Every firm a block hands to settle is interviewed: cia's match, drr's
+# choice, eancdrr's target and, from round 2, its anchor. None is -1, so
+# settle draws every interview of every agent.
+@pytest.mark.parametrize("algorithm", sorted(BLOCKS))
+@settings(max_examples=60, deadline=None)
+@given(
+    market=markets(),
+    firm_mode=st.sampled_from(["certain", "uncertain"]),
+    horizon=st.integers(1, 150),
+    base_seed=st.integers(0, 10**6),
+)
+def test_blocks_hand_settle_only_firms(algorithm, market, firm_mode, horizon, base_seed):
+    config = block_config(algorithm=algorithm, horizon=horizon, base_seed=base_seed,
+                          firm_mode=firm_mode)
+    settle, rounds = lockstep._Block.settle, []
+
+    def checked(blk, t, firms, match):
+        assert firms and all(f.shape == match.shape and (f >= 0).all() for f in firms)
+        rounds.append(t)
+        settle(blk, t, firms, match)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lockstep._Block, "settle", checked)
+        list(BLOCKS[algorithm](config, market, range(2)))
+    assert rounds == list(range(1, horizon + 1))
+
+
 # ancdrr has no block to equal, so this checks only that its agents always
 # keep an open firm on the markets Market accepts, as _best_open_firm argues.
 @settings(max_examples=120, deadline=None)

@@ -24,7 +24,8 @@ def record_rewards(base_opt, base_pess, rewards, firm=0):
     """The series of a one-agent RunRecorder fed one round per reward, matched
     to ``firm``, as an array (round, kind in SERIES_KINDS order, agent)."""
     market = Market(((0.9, 0.5),), ((0.5,), (0.4,)))
-    recorder = RunRecorder(market, (base_opt,), (base_pess,), EstimatorState(1, 2), (0,), ())
+    recorder = RunRecorder(market, (base_opt,), (base_pess,), EstimatorState(1, 2), (0,), (),
+                           retain_rounds=range(1, len(rewards) + 1))
     vacant = frozenset({0, 1}) - {firm}
     for t, x in enumerate(rewards, 1):
         apps = ((0,),) if firm is not None else ((),)
@@ -221,6 +222,7 @@ class TestRunRecorderCounters:
         market = generate_alpha_reducible(n, m, 0.05, random.Random(1))
         recorder = RunRecorder(
             market, [0.5] * n, [0.25] * n, EstimatorState(n, m), range(n), (),
+            retain_rounds=range(1, len(outcomes) + 1),
             expect_no_collisions=expect_no_collisions, certain_firms=certain,
         )
         for out in outcomes:
