@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .market import (  # noqa: F401
-    FixedPairSequence,
     Market,
     Matching,
     PrefList,

@@ -43,6 +43,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
+            if args.out == "":  # else the config's or the default directory is used
+                raise ConfigError("--out must be a non-empty path")
             config = load_config(args.config)
             summary = run_experiment(config, out_dir=args.out, workers=args.workers)
             out = resolve_out_dir(config, args.out)

@@ -34,7 +34,6 @@ class AgentFeedback:
     """What agents may observe at the end of a round: the broadcast vacancy
     sets plus each agent's own applications and own match."""
 
-    t: int
     vprime: frozenset[int]
     v: frozenset[int]
     own_applications: tuple[tuple[int, ...], ...]
@@ -197,7 +196,7 @@ def run_horizon(
             firm_observe(t, f, pool, firm_hold[f])
         matching = Matching(tuple(agent_match), m)
         apps = tuple([plan.applications for plan in plans])
-        feedback = AgentFeedback(t, vprime, v, apps, matching.agent_match)
+        feedback = AgentFeedback(vprime, v, apps, matching.agent_match)
         agent_policy.observe(t, feedback)
 
         if recorder is not None:

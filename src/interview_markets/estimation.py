@@ -15,7 +15,6 @@ from an earlier round (``snapshot_row``) is that round's order.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from typing import Collection, Sequence
 
@@ -74,13 +73,6 @@ class EstimatorState:
             self._lists[owner] = None
         return self
 
-    def count(self, owner: int, peer: int) -> int:
-        return self.counts[owner][peer]
-
-    def mean(self, owner: int, peer: int) -> float | None:
-        c = self.counts[owner][peer]
-        return self.sums[owner][peer] / c if c else None
-
     def pref_list(self, owner: int) -> PrefList:
         result = self._lists[owner]
         if result is None:
@@ -102,17 +94,10 @@ class OracleEstimator:
     oracle = True
 
     def __init__(self, true_means: Sequence[Sequence[float]]):
-        self._means = [list(row) for row in true_means]
-        self._lists = [rank_order(row) for row in self._means]
+        self._lists = [rank_order(row) for row in true_means]
 
     def record(self, owner: int, peer: int, value: float) -> "OracleEstimator":
         return self  # ground truth never moves
-
-    def count(self, owner: int, peer: int) -> float:
-        return math.inf
-
-    def mean(self, owner: int, peer: int) -> float:
-        return self._means[owner][peer]
 
     def pref_list(self, owner: int) -> PrefList:
         return self._lists[owner]

@@ -56,8 +56,6 @@ def _ranked(arms: Sequence[ArmState], epsilon: Optional[float]) -> list[int]:
 
 
 class StepRecord(NamedTuple):  # built every step: a tuple is cheaper than a frozen dataclass
-    t: int
-    rr_arm: int
     probes: tuple[int, int]
     pulled: int
 
@@ -99,7 +97,7 @@ class HintedBandit:
         self.arms[rr].record(draw_rr)
         self.arms[lo].record(draw_lo)
         self.arms[hi].record(draw_hi)
-        return StepRecord(t, rr, (lo, hi), pulled)
+        return StepRecord((lo, hi), pulled)
 
     def allprobe_step(self, t: int, rng: random.Random) -> StepRecord:
         return self._step(t, 1, rng, by_mean=False)

@@ -78,7 +78,7 @@ class _Block:
     invariant event counts."""
 
     def __init__(self, config, market: Market, reps: Sequence[int]):
-        self.config, self.reps = config, list(reps)
+        self.reps = list(reps)
         R, n, m = len(self.reps), market.n, market.m
         self.R, self.n, self.m = R, n, m
         self.uncertain = config.firm_mode == "uncertain"
@@ -175,7 +175,6 @@ class _Block:
             rows = self._stored[:, :, i].tolist()  # (marks, 4, n)
             yield RepOutput(
                 rep=rep,
-                seed=self.config.base_seed + rep,
                 rows={t: tuple(map(tuple, kinds)) for t, kinds in zip(marks, rows)},
                 converged_round=streak[i] or None,
                 final_matching=tuple(f if f >= 0 else None for f in last[i]),

@@ -133,19 +133,6 @@ class StableSet:
     worst_partner: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FixedPairSequence:
-    """Mutual-top pairs extracted layer by layer; induces the unique stable matching."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def as_matching(self, m: int) -> Matching:
-        agent_match: list[Optional[int]] = [None] * len(self.pairs)
-        for a, f in self.pairs:
-            agent_match[a] = f
-        return Matching(tuple(agent_match), m)
-
-
 def rank_order(values: Sequence[float]) -> PrefList:
     """Indices by decreasing value, ties by ascending index (a stable sort):
     the true preference order, and the estimated one once all is observed."""
@@ -332,12 +319,13 @@ def _find_fixed_pair(
     return None
 
 
-def alpha_reducibility(market: Market) -> Optional[FixedPairSequence]:
-    """Iteratively extract mutual-top pairs; None if some layer has none.
+def alpha_reducibility(market: Market) -> Optional[tuple[tuple[int, int], ...]]:
+    """The mutual-top ``(agent, firm)`` pairs, extracted layer by layer, or
+    None if some layer has none.
 
-    When the extraction completes, the resulting pairs form the market's
-    unique stable matching. Extraction is deterministic (lowest agent index
-    first) so layered generators reproduce their planted sequence.
+    When the extraction completes, the pairs form the market's unique stable
+    matching. Extraction is deterministic (lowest agent index first) so
+    layered generators reproduce their planted sequence.
     """
     agent_prefs, firm_prefs = ground_truth_prefs(market)
     agents = list(range(market.n))
@@ -351,7 +339,7 @@ def alpha_reducibility(market: Market) -> Optional[FixedPairSequence]:
         pairs.append((a, f))
         agents.remove(a)
         firms.remove(f)
-    return FixedPairSequence(tuple(pairs))
+    return tuple(pairs)
 
 
 def _jittered_levels(length: int, min_gap: float, rng: random.Random) -> list[float]:

@@ -4,7 +4,6 @@ gaps (the paper's Δ) that set each agent's and firm's regret scale."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Collection, Sequence
 
 from .engine import RoundOutcome
@@ -27,19 +26,14 @@ def min_gaps(market: Market, best: Sequence[int]) -> tuple[tuple[float, ...], tu
     return agent_min_gap, firm_min_gap
 
 
-@dataclass(frozen=True)
-class PlateauResult:
-    ratio: float
-    zero_denominator: bool = False
-
-
-def plateau_from_values(early: float, late: float) -> PlateauResult:
-    """Ratio late/early with a guard for tiny, zero, or negative denominators:
+def plateau_from_values(early: float, late: float) -> dict:
+    """``{"ratio", "zero_denominator"}`` as ``summary.json`` holds them: the
+    ratio late/early, with a guard for tiny, zero, or negative denominators:
     below 1 the series counts as flat (ratio 1) iff it grew by at most 1
     between the checkpoints, else infinity."""
     if early < 1.0:
-        return PlateauResult(1.0 if late <= early + 1.0 else float("inf"), True)
-    return PlateauResult(late / early, False)
+        return {"ratio": 1.0 if late <= early + 1.0 else float("inf"), "zero_denominator": True}
+    return {"ratio": late / early, "zero_denominator": False}
 
 
 SERIES_KINDS = ("optimal", "pessimal", "pseudo_optimal", "pseudo_pessimal")

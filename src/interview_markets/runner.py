@@ -80,7 +80,6 @@ def market_baselines(
 @dataclass
 class RepOutput:
     rep: int
-    seed: int
     rows: dict[int, tuple]  # t -> (opt, pess, pseudo_opt, pseudo_pess) tuples
     converged_round: Optional[int]
     final_matching: tuple
@@ -113,8 +112,7 @@ def replication_streams(seed: int) -> tuple[random.Random, random.Random]:
 def run_market_replication(
     config: ExperimentConfig, market: Market, rep: int
 ) -> RepOutput:
-    seed = config.base_seed + rep
-    reward_rng, policy_rng = replication_streams(seed)
+    reward_rng, policy_rng = replication_streams(config.base_seed + rep)
     n, m = market.n, market.m
     agent_est = EstimatorState(n, m)
     firm_est = (
@@ -151,7 +149,6 @@ def run_market_replication(
     )
     return RepOutput(
         rep=rep,
-        seed=seed,
         rows=recorder.stored_rows(),
         converged_round=result.converged_round,
         final_matching=result.final_matching.agent_match,
@@ -248,7 +245,6 @@ def _write_market_files(out: Path, rep_out: RepOutput, retained: list[int]) -> N
 @dataclass
 class BanditRepOutput:
     rep: int
-    seed: int
     regret_at: dict[int, float]
     last_quarter_pulls: list[int]
 
@@ -256,8 +252,7 @@ class BanditRepOutput:
 def run_bandit_replication(
     config: ExperimentConfig, means, model, rep: int
 ) -> BanditRepOutput:
-    seed = config.base_seed + rep
-    rng = random.Random(seed)
+    rng = random.Random(config.base_seed + rep)
     result = run_hinted(
         config.algorithm,
         means,
@@ -269,7 +264,7 @@ def run_bandit_replication(
     )
     retain = checkpoint_rounds(config.horizon, config.stride)
     regret_at = {t: float(result.cumulative_regret[t - 1]) for t in retain}
-    return BanditRepOutput(rep, seed, regret_at, result.last_quarter_pulls.tolist())
+    return BanditRepOutput(rep, regret_at, result.last_quarter_pulls.tolist())
 
 
 def _bandit_worker(args) -> list[BanditRepOutput]:
@@ -335,8 +330,7 @@ def _mean_stderr(values: np.ndarray) -> tuple[list, list]:
 def _plateau(mean, marks: list[int], T: int) -> dict:
     """``plateau_from_values`` of a mean series at rounds ``T // 10`` and ``T``."""
     early, late = mean[marks.index(max(1, T // 10))], mean[marks.index(T)]
-    res = plateau_from_values(float(early), float(late))
-    return {"ratio": res.ratio, "zero_denominator": res.zero_denominator}
+    return plateau_from_values(float(early), float(late))
 
 
 def run_experiment(

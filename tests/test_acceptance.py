@@ -148,7 +148,7 @@ def test_criterion_02_alpha_reducible_uniqueness():
         assert seq is not None
         stable_set = enumerate_stable_matchings(market)
         assert len(stable_set.matchings) == 1
-        assert stable_set.matchings[0].agent_match == seq.as_matching(m).agent_match
+        assert stable_set.matchings[0].pairs() == tuple(sorted(seq))
     _ok("criterion 2: 500 layered markets each have exactly the fixed-pair matching")
 
 
@@ -175,7 +175,7 @@ def test_criterion_03_golden_examples():
     assert [m.agent_match for m in intro.matchings] == [(0, 1)]
     coord = enumerate_stable_matchings(named_example("coordfgs"))
     assert [m.agent_match for m in coord.matchings] == [(0, 1, 2)]
-    assert alpha_reducibility(named_example("coordfgs")).pairs == ((0, 0), (1, 1), (2, 2))
+    assert alpha_reducibility(named_example("coordfgs")) == ((0, 0), (1, 1), (2, 2))
 
     # k3: with oracle estimates and the adversarial rejection state, the
     # coordination-free learner enters the period-2 application cycle
@@ -224,7 +224,7 @@ def test_criterion_05_drr_structure(drr_summary):
 def test_criterion_06_ancdrr_convergence(ancdrr_summary):
     """Coordination-free learning reaches the unique stable matching."""
     market = generate_alpha_reducible(3, 3, 0.2, random.Random(MARKET_SEED))
-    unique = alpha_reducibility(market).as_matching(3).agent_match
+    unique = tuple(f for _, f in sorted(alpha_reducibility(market)))
     fraction = ancdrr_summary["convergence"]["fraction"]
     assert fraction >= 0.95, fraction
     rounds = ancdrr_summary["convergence"]["rounds"]

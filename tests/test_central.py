@@ -150,5 +150,5 @@ class TestAllocatorRuns:
             if o.interviews[a][0] == o.interviews[a][1]
         ]
         assert doubled  # happens once per agent per two-round window here
-        total = sum(agent_est.count(0, f) for f in range(2))
+        total = sum(agent_est.counts[0])
         assert total == 2 * len(outcomes)

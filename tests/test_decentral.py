@@ -35,10 +35,8 @@ class FixedRandom:
         return self.values.pop(0) if self.values else 0.999999
 
 
-def feedback(t, vprime, v, applications, matches):
-    return AgentFeedback(
-        t, frozenset(vprime), frozenset(v), tuple(applications), tuple(matches)
-    )
+def feedback(vprime, v, applications, matches):
+    return AgentFeedback(frozenset(vprime), frozenset(v), tuple(applications), tuple(matches))
 
 
 class TestDrrCandidateSet:
@@ -206,7 +204,7 @@ class TestCoordinatedTriggers:
             for i, app in enumerate(apps):
                 matches.append(app[0] if app and holds.get(app[0]) == i else None)
             vprime = {f for f in range(2) if f not in holds}
-            policy.observe(t, feedback(t, vprime, vprime, apps, matches))
+            policy.observe(t, feedback(vprime, vprime, apps, matches))
             t += 1
         assert policy.rho == 1
         return policy, t
@@ -216,7 +214,7 @@ class TestCoordinatedTriggers:
         plans = policy.plan(t)
         apps = [p.applications for p in plans]
         # a strategic abstention empties firm 0: vacancy count exceeds m - n = 0
-        policy.observe(t, feedback(t, {0}, {0}, apps, [None, 1]))
+        policy.observe(t, feedback({0}, {0}, apps, [None, 1]))
         assert len(policy.phase_log) == 2
         assert policy.phase_log[-1]["t_gs"] == t + 1
         assert policy.phase_log[-1]["triggers"] == "vac"
@@ -236,12 +234,11 @@ class TestCoordinatedTriggers:
 
     def test_inconsistency_triggers_abstain(self):
         policy, t = self.make_committed_policy()
-        # flip agent 0's estimates so its frozen-candidate argmax changes
-        policy.agent_est._means[0] = [0.1, 0.9]
+        # flip agent 0's list so its frozen-candidate argmax changes
         policy.agent_est._lists[0] = (1, 0)
         plans = policy.plan(t)
         assert plans[0].applications == ()
-        policy.observe(t, feedback(t, {0}, {0}, [p.applications for p in plans], [None, 1]))
+        policy.observe(t, feedback({0}, {0}, [p.applications for p in plans], [None, 1]))
         assert policy.phase_log[-1]["triggers"] in ("inc", "inc+vac")
 
 
@@ -358,13 +355,13 @@ class TestExtended:
         policy = ExtendedCoordinationFreePolicy(1, 2, est, 0.5, FixedRandom([0.0, 0.0]))
         policy.states[0].anchor = 1
         policy.plan(4)
-        policy.observe(4, feedback(4, {0}, {0}, [(0, 1)], [1]))
+        policy.observe(4, feedback({0}, {0}, [(0, 1)], [1]))
         assert policy.states[0].anchor == 1
         policy.plan(5)
-        policy.observe(5, feedback(5, {1}, {0, 1}, [(0, 1)], [0]))
+        policy.observe(5, feedback({1}, {0, 1}, [(0, 1)], [0]))
         assert policy.states[0].anchor == 0
         policy.plan(6)
-        policy.observe(6, feedback(6, {0, 1}, {0, 1}, [(0,)], [None]))
+        policy.observe(6, feedback({0, 1}, {0, 1}, [(0,)], [None]))
         assert policy.states[0].anchor == 0  # unmatched keeps the old anchor
 
     def test_paired_application_keeps_anchor_out_of_feedback(self):

@@ -22,13 +22,12 @@ class TestRecord:
         est = EstimatorState(1, 2)
         for v in (1.0, 0.0, 1.0):
             est.record(0, 0, v)
-        assert est.count(0, 0) == 3
-        assert est.mean(0, 0) == pytest.approx(2 / 3)
+        assert est.counts[0][0] == 3
+        assert est.sums[0][0] / est.counts[0][0] == pytest.approx(2 / 3)
 
-    def test_unobserved_is_undefined(self):
+    def test_unobserved_starts_at_zero(self):
         est = EstimatorState(1, 2)
-        assert est.mean(0, 1) is None
-        assert est.count(0, 1) == 0
+        assert est.counts[0][1] == 0 and est.sums[0][1] == 0.0
 
     def test_out_of_range_rejected(self):
         est = EstimatorState(1, 1)
@@ -42,7 +41,7 @@ class TestRecord:
         est = EstimatorState(1, 1)
         for _ in range(10_000):
             est.record(0, 0, 1.0 if rng.random() < 0.3 else 0.0)
-        assert abs(est.mean(0, 0) - 0.3) < 0.02
+        assert abs(est.sums[0][0] / est.counts[0][0] - 0.3) < 0.02
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=30))
@@ -53,7 +52,8 @@ class TestRecord:
             forward.record(0, 0, v)
         for v in reversed(values):
             backward.record(0, 0, v)
-        assert forward.mean(0, 0) == pytest.approx(backward.mean(0, 0))
+        assert forward.counts == backward.counts
+        assert forward.sums[0][0] == pytest.approx(backward.sums[0][0])
 
 
 class TestEstimatedPrefList:

@@ -688,7 +688,7 @@ class TestCsvRendering:
     @example(t=1, values=[-0.0, 5e-324, 1e-05, 1e16, 0.1, -1e-05, 1.0, 2.5e-17])
     def test_series_lines_render_as_joined_cells(self, t, values):
         kinds = tuple(tuple(values[k::4]) for k in range(4))  # 4 kinds x 2 agents
-        rep_out = RepOutput(rep=0, seed=0, rows={t: kinds}, converged_round=None,
+        rep_out = RepOutput(rep=0, rows={t: kinds}, converged_round=None,
                             final_matching=(), events={}, invalid={})
         with tempfile.TemporaryDirectory() as d:
             runner._write_market_files(Path(d), rep_out, [t])
@@ -916,6 +916,14 @@ class TestCli:
         assert cli_main(["run", str(path), "--out", str(out_dir), "--workers", workers]) == 2
         assert capsys.readouterr().err == f"error: workers must be at least 1, got {workers}\n"
         assert not out_dir.exists()
+
+    def test_run_rejects_empty_out_in_one_line(self, tmp_path, monkeypatch, capsys):
+        path = self.write_config(tmp_path, horizon=50, replications=1,
+                                 out_dir=str(tmp_path / "configured"))
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["run", str(path), "--out", ""]) == 2
+        assert capsys.readouterr().err == "error: --out must be a non-empty path\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_console_script_installed(self):
         proc = subprocess.run(

@@ -196,25 +196,25 @@ class TestHintedRegret:
 
     def test_best_arm_probed_every_round_is_zero(self):
         means = (0.9, 0.5, 0.2)
-        traj = [StepRecord(t, t % 3, (0, 1), 0) for t in range(1, 50)]
+        traj = [StepRecord((0, 1), 0)] * 49
         series = hinted_regret(traj, means, RewardModel())
         assert series[-1] == 0.0
 
     def test_good_pair_is_zero(self):
         # 0.6 + 0.4 * 0.8 = 0.92 >= 0.9: no regret even without the best arm
         means = (0.9, 0.8, 0.6)
-        traj = [StepRecord(1, 0, (2, 1), 1)]
+        traj = [StepRecord((2, 1), 1)]
         assert hinted_regret(traj, means, RewardModel())[0] == 0.0
 
     def test_bad_pair_formula(self):
         means = (0.9, 0.1, 0.1)
-        traj = [StepRecord(1, 0, (1, 2), 1)]
+        traj = [StepRecord((1, 2), 1)]
         series = hinted_regret(traj, means, RewardModel())
         assert series[0] == pytest.approx(0.9 - (0.1 + 0.9 * 0.1))
 
     def test_rank_target(self):
         means = (0.9, 0.5, 0.2)
-        traj = [StepRecord(1, 0, (1, 2), 1)]
+        traj = [StepRecord((1, 2), 1)]
         series = hinted_regret(traj, means, RewardModel(), target_rank=2)
         expected = max(0.0, 0.5 - bernoulli_max_expectation(0.5, 0.2))
         assert series[0] == pytest.approx(expected)

@@ -122,25 +122,22 @@ class TestConvergenceRound:
 
 class TestPlateauRatio:
     def test_constant_series(self):
-        assert plateau_from_values(42.0, 42.0).ratio == pytest.approx(1.0)
+        assert plateau_from_values(42.0, 42.0)["ratio"] == pytest.approx(1.0)
 
     def test_linear_series(self):
         res = plateau_from_values(10.0, 100.0)
-        assert res.ratio == pytest.approx(10.0)
-        assert not res.zero_denominator
+        assert res == {"ratio": pytest.approx(10.0), "zero_denominator": False}
 
     def test_zero_series_flagged(self):
-        res = plateau_from_values(0.0, 0.0)
-        assert res.ratio == 1.0 and res.zero_denominator
+        assert plateau_from_values(0.0, 0.0) == {"ratio": 1.0, "zero_denominator": True}
 
     def test_negative_flat_series_counts_as_flat(self):
         series = np.linspace(-1.0, -2.0, 50)
         res = plateau_from_values(float(series[4]), float(series[49]))
-        assert res.ratio == 1.0 and res.zero_denominator
+        assert res == {"ratio": 1.0, "zero_denominator": True}
 
     def test_growth_from_zero_is_infinite(self):
-        res = plateau_from_values(0.0, 25.0)
-        assert res.ratio == float("inf")
+        assert plateau_from_values(0.0, 25.0)["ratio"] == float("inf")
 
 
 class TestInvalidLists:
