@@ -15,7 +15,8 @@ Every replication's :class:`RepOutput` equals the one
   agent-side draw and then, for uncertain firms, the firm-side draw; after
   those, one reward draw per matched agent in index order; from the policy
   stream, ``eancdrr``'s lambda draws in agent order;
-- ``cia``'s deferred acceptance is ``market._deferred_acceptance`` itself;
+- ``cia``'s deferred acceptance is ``market._deferred_acceptance`` itself,
+  rerun only for the replications whose lists on either side moved;
 - the ranking rule is ``estimation._sort_key`` (``market.rank_order`` for
   certain firms) as numpy keys: a stable argsort gives a ``pref_list``, and
   a masked ``argmin`` gives ``estimation.first_in`` over a candidate set,
@@ -165,17 +166,16 @@ class _Block:
             self._last = match
 
     def outputs(self, phase_logs=None) -> Iterator[RepOutput]:
-        """Each replication's :class:`RepOutput` in plain Python values,
-        built one at a time from the block's arrays as it is asked for."""
-        marks = sorted(self._retain)
+        """Each replication's :class:`RepOutput`, built one at a time as it
+        is asked for: its rows a ``(retained, 4, n)`` view of the block's
+        array, every other field in plain Python values."""
         counts = {name: values.tolist() for name, values in self.events.items()}
         invalid = np.array(self._invalid, dtype=int).transpose(1, 0, 2).tolist()  # (R, checks, n)
         streak, last = self._streak.tolist(), self._last.tolist()
         for i, rep in enumerate(self.reps):
-            rows = self._stored[:, :, i].tolist()  # (marks, 4, n)
             yield RepOutput(
                 rep=rep,
-                rows={t: tuple(map(tuple, kinds)) for t, kinds in zip(marks, rows)},
+                rows=self._stored[:, :, i],
                 converged_round=streak[i] or None,
                 final_matching=tuple(f if f >= 0 else None for f in last[i]),
                 events={name: values[i] for name, values in counts.items()},
@@ -228,29 +228,40 @@ class _FirmPolicy:
 def run_cia_block(config, market: Market, reps: Sequence[int]) -> Iterator[RepOutput]:
     """Replications ``reps`` of a Bernoulli ``cia`` config, run in lockstep."""
     blk = _Block(config, market, reps)
-    if not blk.uncertain:  # OracleEstimator's lists never move
+    R, n, m = blk.R, blk.n, blk.m
+    if blk.uncertain:
+        ranks = np.full((R, m, n), -1)  # no round yet
+    else:  # OracleEstimator's lists never move
         order = [rank_order(row) for row in market.firm_means]
-        f_ranks = [np.argsort(order, axis=-1).tolist()] * blk.R
+        ranks = np.broadcast_to(np.argsort(order, axis=-1), (R, m, n))
+    lists = np.full((R, n, m), -1)
+    rows = [None] * R  # each replication's match as a list, firm -1 for none
 
     for t in range(1, config.horizon + 1):
-        a_lists = blk.agent_est.lists().tolist()
+        # deferred acceptance is a function of both sides' lists, so a
+        # replication whose lists equal last round's keeps last round's match
+        prev_lists, lists = lists, blk.agent_est.lists()
+        moved = (lists != prev_lists).reshape(R, -1).any(1)
         if blk.uncertain:
-            f_ranks = np.argsort(blk.firm_est.lists(), axis=-1).tolist()  # rank rows
+            prev_ranks, ranks = ranks, np.argsort(blk.firm_est.lists(), axis=-1)  # rank rows
+            moved |= (ranks != prev_ranks).reshape(R, -1).any(1)
         # Deferred acceptance is injective, so every firm's pool holds at
         # most one applicant: firms never stamp a rejection clock and never
         # abstain, and each agent is hired by its assigned firm. The firm
         # clocks are skipped and no invariant event happens (V' holds
         # exactly the m - n unassigned firms, and V = V' | changed).
-        rows = []
-        for i, rep in enumerate(blk.reps):
-            row = [-1] * blk.n
-            for f, a in enumerate(_deferred_acceptance(a_lists[i], f_ranks[i])):
-                if a is not None:
-                    row[a] = f
-            if -1 in row:
-                raise ProtocolError(f"replication {rep}: agent {row.index(-1)} unmatched", t)
-            rows.append(row)
-        match = np.array(rows)
+        redo = np.flatnonzero(moved)
+        if redo.size:
+            pick = redo if redo.size < R else slice(None)  # a slice copies nothing
+            for i, prefs, rank in zip(redo.tolist(), lists[pick].tolist(), ranks[pick].tolist()):
+                row = rows[i] = [-1] * n
+                for f, a in enumerate(_deferred_acceptance(prefs, rank)):
+                    if a is not None:
+                        row[a] = f
+                if -1 in row:
+                    raise ProtocolError(
+                        f"replication {blk.reps[i]}: agent {row.index(-1)} unmatched", t)
+            match = np.array(rows)  # a new array: settle keeps last round's
         blk.settle(t, (match,), match)
     return blk.outputs()
 

@@ -3,8 +3,11 @@ gaps (the paper's Δ) that set each agent's and firm's regret scale."""
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from typing import Collection, Sequence
+
+import numpy as np
 
 from .engine import RoundOutcome
 from .estimation import validity
@@ -67,8 +70,8 @@ class RunRecorder:
     is contained in the hiring-change set, at least m-n firms are vacant, at
     most one application per firm when `expect_no_collisions`, gamma stays 1
     in certain mode, and no firm abstains twice in a row. At each of
-    ``retain_rounds``, ``stored_rows`` gains the four cumulative regret rows
-    (``SERIES_KINDS`` order, one value per agent). At each of
+    ``retain_rounds``, one flat float buffer gains the four cumulative regret
+    rows (``SERIES_KINDS`` order, one value per agent). At each of
     ``validity_rounds``, ``invalid[t]`` flags (1) every agent whose list in
     ``agent_est`` is invalid for its agent-optimal stable partner ``best``.
     At each of ``log_rounds``, ``round_log`` and ``firm_log`` each gain one
@@ -94,7 +97,7 @@ class RunRecorder:
         self.market = market
         n = market.n
         self._retain = frozenset(retain_rounds)
-        self._stored: dict[int, tuple] = {}  # t -> one row per series kind
+        self._stored = array("d")  # each retained round's rows, in round order
         # the pseudo twins accumulate baseline minus the matched firm's mean:
         # same expectation as the realized series, far lower variance
         self._cum_opt = [0.0] * n
@@ -130,7 +133,7 @@ class RunRecorder:
             cpp[a] += bp - u
         t = outcome.t
         if t in self._retain:
-            self._stored[t] = (tuple(co), tuple(cp), tuple(cpo), tuple(cpp))
+            self._stored.extend(co + cp + cpo + cpp)
         if t in self._validity_rounds:
             est = self._agent_est
             self.invalid[t] = tuple(
@@ -176,5 +179,6 @@ class RunRecorder:
         self._prev_gamma = gamma
 
     # -- results -----------------------------------------------------------
-    def stored_rows(self) -> dict[int, tuple]:
-        return dict(self._stored)
+    def stored_rows(self) -> np.ndarray:
+        """A float64 ``(rounds, 4, n)`` view: the buffer cannot grow while it lives."""
+        return np.frombuffer(self._stored).reshape(-1, len(SERIES_KINDS), self.market.n)

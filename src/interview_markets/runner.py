@@ -8,8 +8,9 @@ its block one replication at a time, or as one lockstep block, writes each
 replication's files as soon as it finishes, drops the full record before
 the next is built and hands back only what ``summary.json`` reads: no
 process holds more than one replication's record (or a lockstep block's
-arrays plus one record). Every CSV line is rendered once, straight from its
-values: series rows here, the round logs as text in ``RunRecorder``. The
+arrays plus one record), and both keep its regret rows in one float array.
+Every CSV line is rendered once, straight from its values: series rows
+here, a round at a time, the round logs as text in ``RunRecorder``. The
 summary reads the records in job order, which is replication order, so
 output bytes do not depend on worker scheduling.
 Replication i uses seed base_seed + i; re-running any single replication
@@ -80,7 +81,7 @@ def market_baselines(
 @dataclass
 class RepOutput:
     rep: int
-    rows: dict[int, tuple]  # t -> (opt, pess, pseudo_opt, pseudo_pess) tuples
+    rows: np.ndarray  # float64 (checkpoint_rounds, SERIES_KINDS, agent); lists once trimmed
     converged_round: Optional[int]
     final_matching: tuple
     events: dict[str, int]  # every name in INVARIANTS -> its count
@@ -190,10 +191,11 @@ def _market_worker(args) -> list[RepOutput]:
         outs = (run_market_replication(config, market, rep) for rep in reps)
     T = config.horizon
     retained, marks = checkpoint_rounds(T, config.stride), summary_checkpoints(T)
+    at_marks = np.searchsorted(retained, marks)
     kept = []
     for rep_out in outs:
         _write_market_files(out, rep_out, retained)
-        rows = {t: rep_out.rows[t] for t in marks}
+        rows = rep_out.rows[at_marks].tolist()  # lists cross the pool in less memory
         kept.append(replace(rep_out, rows=rows, round_log=[], firm_log=[]))
         del rep_out  # else the full record lives on while the next one runs
     return kept
@@ -201,14 +203,13 @@ def _market_worker(args) -> list[RepOutput]:
 
 def _write_market_files(out: Path, rep_out: RepOutput, retained: list[int]) -> None:
     """A replication's series, and its phase and round logs when it has them."""
-    rows = rep_out.rows
     _write_lines(
         out / f"series_rep{rep_out.rep:04d}.csv",
         ["t", "agent"] + [f"{kind}_regret" for kind in SERIES_KINDS],
-        (
+        (  # one round at a time, as Python floats: ``!s`` prints their shortest repr
             f"{t},{a},{x!s},{y!s},{u!s},{v!s}\n"
-            for t in retained
-            for a, (x, y, u, v) in enumerate(zip(*rows[t]), 1)
+            for t, kinds in zip(retained, rep_out.rows)
+            for a, (x, y, u, v) in enumerate(zip(*kinds.tolist()), 1)
         ),
     )
     if rep_out.phase_log:
@@ -296,6 +297,8 @@ def config_hash(config: ExperimentConfig) -> str:
 
 
 def resolve_out_dir(config: ExperimentConfig, override: Optional[str] = None) -> Path:
+    if override == "":
+        raise ConfigError("out_dir override must not be empty")
     if override:
         return Path(override)
     if config.out_dir:
@@ -387,11 +390,9 @@ def _market_summary(market: Market, reps: list[RepOutput], marks: list[int]) -> 
     n, T = market.n, marks[-1]  # the last summary checkpoint is the horizon
     series_stats = {}
     mean_rows = {}
+    rows = np.array([rep_out.rows for rep_out in reps])  # (reps, marks, kinds, agents)
     for k, kind in enumerate(SERIES_KINDS):
-        values = np.array(
-            [[rep_out.rows[t][k] for t in marks] for rep_out in reps]
-        )  # (reps, marks, agents)
-        mean, err = _mean_stderr(values)
+        mean, err = _mean_stderr(rows[:, :, k])
         series_stats[kind] = {"mean": mean, "stderr": err}
         mean_rows[kind] = np.asarray(mean)  # (marks, agents)
 

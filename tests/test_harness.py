@@ -6,6 +6,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -562,13 +563,14 @@ class TestRunExperiment:
         assert runner._runs_lockstep(config, market) == (config.algorithm == "drr")
         outs = runner._market_worker((config, market, reps, tmp_path))
         marks = runner.summary_checkpoints(config.horizon)
-        assert len(marks) < len(runner.checkpoint_rounds(config.horizon, config.stride))
+        retained = runner.checkpoint_rounds(config.horizon, config.stride)
+        assert len(marks) < len(retained)
         assert [r.rep for r in outs] == list(reps)
         for r in outs:
-            assert list(r.rows) == marks
             assert r.round_log == [] and r.firm_log == []
             full = runner.run_market_replication(config, market, r.rep)
-            assert r.rows == {t: full.rows[t] for t in marks}
+            # plain lists, which cross a process pool in less memory than arrays
+            assert r.rows == [full.rows[retained.index(t)].tolist() for t in marks]
             assert r.phase_log == full.phase_log and r.invalid == full.invalid
             written = sorted(p.name for p in tmp_path.glob(f"*_rep{r.rep:04d}.csv"))
             assert written == [f"{k}_rep{r.rep:04d}.csv" for k in kinds]
@@ -661,6 +663,18 @@ class TestRunExperiment:
         run_experiment(config)
         assert (tmp_path / "envout" / "summary.json").exists()
 
+    @pytest.mark.parametrize("configured", [True, False])
+    def test_empty_out_dir_override_raises_and_writes_nothing(self, tmp_path, monkeypatch,
+                                                              configured):
+        # an empty override is not absent: no fallback directory is written
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("INTERVIEW_MARKETS_OUT", str(tmp_path / "envout"))
+        extra = {"out_dir": str(tmp_path / "configured")} if configured else {}
+        config = config_from_dict(base_config(horizon=50, replications=1, **extra))
+        with pytest.raises(ConfigError, match="out_dir override must not be empty"):
+            run_experiment(config, out_dir="")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCsvRendering:
     def test_cells_render_as_repr_for_floats_and_str_otherwise(self, tmp_path):
@@ -688,7 +702,7 @@ class TestCsvRendering:
     @example(t=1, values=[-0.0, 5e-324, 1e-05, 1e16, 0.1, -1e-05, 1.0, 2.5e-17])
     def test_series_lines_render_as_joined_cells(self, t, values):
         kinds = tuple(tuple(values[k::4]) for k in range(4))  # 4 kinds x 2 agents
-        rep_out = RepOutput(rep=0, rows={t: kinds}, converged_round=None,
+        rep_out = RepOutput(rep=0, rows=np.array([kinds]), converged_round=None,
                             final_matching=(), events={}, invalid={})
         with tempfile.TemporaryDirectory() as d:
             runner._write_market_files(Path(d), rep_out, [t])

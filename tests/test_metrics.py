@@ -31,8 +31,7 @@ def record_rewards(base_opt, base_pess, rewards, firm=0):
         apps = ((0,),) if firm is not None else ((),)
         recorder(RoundOutcome(t, ((0, 1),), apps, (1, 1), Matching((firm,), 2), (x,),
                               vacant, vacant))
-    rows = recorder.stored_rows()
-    return np.array([rows[t] for t in sorted(rows)])
+    return recorder.stored_rows()
 
 
 class TestRegretSeries:
