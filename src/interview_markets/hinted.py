@@ -9,6 +9,7 @@ the two probed draws reaches it.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -136,6 +137,7 @@ def _gaussian_cdf(z: float, mean: float, model: RewardModel) -> float:
     return (_phi((z - mean) / sigma) - lo) / (hi - lo)
 
 
+@functools.lru_cache(maxsize=1 << 12)  # a Gaussian grid costs about 2 ms; once per pair per process
 def expected_max(mean_x: float, mean_y: float, model: RewardModel) -> float:
     """E[max] of two independent draws from the pair's reward family."""
     if model.kind == "bernoulli":

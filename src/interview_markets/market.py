@@ -141,8 +141,10 @@ def rank_order(values: Sequence[float]) -> PrefList:
 
 def ground_truth_prefs(market: Market) -> tuple[list[PrefList], list[PrefList]]:
     """Preference lists induced by the mean matrices (decreasing mean)."""
-    agent_prefs = [rank_order(row) for row in market.agent_means]
-    firm_prefs = [rank_order(row) for row in market.firm_means]
+    agent_prefs, firm_prefs = (
+        [(0,)] * len(rows) if len(rows[0]) == 1 else [rank_order(row) for row in rows]
+        for rows in (market.agent_means, market.firm_means)  # one-level rows need no sort
+    )
     return agent_prefs, firm_prefs
 
 
@@ -342,16 +344,22 @@ def alpha_reducibility(market: Market) -> Optional[tuple[tuple[int, int], ...]]:
     return tuple(pairs)
 
 
-def _jittered_levels(length: int, min_gap: float, rng: random.Random) -> list[float]:
-    """`length` values in (0, 1), pairwise separation >= min_gap, random order."""
+def _jittered_rows(
+    count: int, length: int, min_gap: float, rng: random.Random
+) -> list[list[float]]:
+    """``count`` rows of ``length`` values in (0, 1), each row's pairwise
+    separation >= min_gap, in random order. One-level rows take one pass:
+    shuffling one element draws nothing."""
     width = 1.0 / length
     half_play = (width - min_gap) / 2.0
-    levels = []
-    for i in range(length):
-        center = (i + 0.5) * width
-        levels.append(center + rng.uniform(-half_play, half_play))
-    rng.shuffle(levels)
-    return levels
+    if length == 1:
+        return [[0.5 + rng.uniform(-half_play, half_play)] for _ in range(count)]
+    rows = []
+    for _ in range(count):
+        levels = [(i + 0.5) * width + rng.uniform(-half_play, half_play) for i in range(length)]
+        rng.shuffle(levels)
+        rows.append(levels)
+    return rows
 
 
 def generator_param_error(n: int, m: int, min_gap: float) -> Optional[tuple[str, str]]:
@@ -387,8 +395,8 @@ def generate_market(
 ) -> Market:
     """Random market with per-row mean separation >= min_gap."""
     _check_generator_params(n, m, min_gap)
-    agent_means = tuple(tuple(_jittered_levels(m, min_gap, rng)) for _ in range(n))
-    firm_means = tuple(tuple(_jittered_levels(n, min_gap, rng)) for _ in range(m))
+    agent_means = tuple(map(tuple, _jittered_rows(n, m, min_gap, rng)))
+    firm_means = tuple(map(tuple, _jittered_rows(m, n, min_gap, rng)))
     return Market(agent_means, firm_means, RewardModel(reward_kind, sigma))
 
 
@@ -406,8 +414,8 @@ def generate_alpha_reducible(
     layer i's sub-market, peer i carries the largest mean.
     """
     _check_generator_params(n, m, min_gap)
-    agent_rows = [list(_jittered_levels(m, min_gap, rng)) for _ in range(n)]
-    firm_rows = [list(_jittered_levels(n, min_gap, rng)) for _ in range(m)]
+    agent_rows = _jittered_rows(n, m, min_gap, rng)
+    firm_rows = _jittered_rows(m, n, min_gap, rng)
     for i in range(n):
         # agent a_i must top f_i among firms f_i..f_{m-1}
         row = agent_rows[i]
@@ -419,8 +427,8 @@ def generate_alpha_reducible(
         k = max(range(j, n), key=lambda x: row[x])
         row[j], row[k] = row[k], row[j]
     market = Market(
-        tuple(tuple(r) for r in agent_rows),
-        tuple(tuple(r) for r in firm_rows),
+        tuple(map(tuple, agent_rows)),
+        tuple(map(tuple, firm_rows)),
         RewardModel(reward_kind, sigma),
     )
     if alpha_reducibility(market) is None:

@@ -54,13 +54,27 @@ INVARIANTS = (
 )
 
 
-class _JoinedCells(dict):
-    """The CSV cell of each firm tuple seen, its 1-based firms joined by
-    ``;``, computed on first use."""
+class _Memo(dict):
+    """The text ``render(*key)`` of each key seen, rendered on first use."""
 
-    def __missing__(self, firms: tuple[int, ...]) -> str:
-        cell = self[firms] = ";".join(str(f + 1) for f in firms)
-        return cell
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(*key)
+        return text
+
+
+def _agent_cells(a: int, interviews, applications, f) -> str:
+    """An agent's round-log line between the round and the reward, 1-based."""
+    ivs, apps = (";".join([str(g + 1) for g in firms]) for firms in (interviews, applications))
+    return f"{a + 1},{ivs},{apps},{'' if f is None else f + 1},"
+
+
+def _firm_lines(gamma, vacant) -> tuple[str, ...]:
+    """A round's firm-log lines after the round: 1-based firm, gamma, 1 if vacant."""
+    return tuple(f"{f + 1},{g},{int(f in vacant)}\n" for f, g in enumerate(gamma))
 
 
 class RunRecorder:
@@ -78,7 +92,10 @@ class RunRecorder:
     string of finished CSV text: that round's line per agent (t, 1-based
     agent, interviewed and applied firms joined by ``;``, matched firm or
     empty, reward as ``str`` renders it) and per firm (t, firm, gamma, 1 if
-    vacant), firms 1-based, each line ending in a newline.
+    vacant), firms 1-based, each line ending in a newline. Only t and the
+    rewards are rendered each round: an agent's cells between them are
+    memoized by (agent, interviews, applications, match), and a round's firm
+    lines after t by (gamma, vacant set).
     """
 
     def __init__(
@@ -115,7 +132,7 @@ class RunRecorder:
         self._prev_gamma: Sequence[int] = (1,) * market.m
         self._prev_pool: Sequence[int] = (0,) * market.m
         self._log_rounds = frozenset(log_rounds)
-        self._cells = _JoinedCells()
+        self._agent_cells, self._firm_lines = _Memo(_agent_cells), _Memo(_firm_lines)
         self.round_log: list[str] = []
         self.firm_log: list[str] = []
 
@@ -141,16 +158,13 @@ class RunRecorder:
                 for a, (truth, b) in enumerate(self._targets)
             )
         if t in self._log_rounds:
-            cells, vprime = self._cells, outcome.vprime
-            agents = zip(outcome.interviews, outcome.applications,
-                         outcome.matching.agent_match, outcome.rewards)
+            cells, at = self._agent_cells, f"{t},"
+            keys = zip(range(market.n), outcome.interviews, outcome.applications,
+                       outcome.matching.agent_match)
             self.round_log.append("".join([
-                f"{t},{a},{cells[ivs]},{cells[apps]},{'' if f is None else f + 1},{x!s}\n"
-                for a, (ivs, apps, f, x) in enumerate(agents, 1)
+                f"{at}{cells[key]}{x!s}\n" for key, x in zip(keys, outcome.rewards)
             ]))
-            self.firm_log.append("".join([
-                f"{t},{f + 1},{g},{int(f in vprime)}\n" for f, g in enumerate(outcome.gamma)
-            ]))
+            self.firm_log.append(at + at.join(self._firm_lines[outcome.gamma, outcome.vprime]))
 
         events = self.events
         if not outcome.vprime <= outcome.v:

@@ -9,10 +9,12 @@ replication's files as soon as it finishes, drops the full record before
 the next is built and hands back only what ``summary.json`` reads: no
 process holds more than one replication's record (or a lockstep block's
 arrays plus one record), and both keep its regret rows in one float array.
-Every CSV line is rendered once, straight from its values: series rows
-here, a round at a time, the round logs as text in ``RunRecorder``. The
-summary reads the records in job order, which is replication order, so
-output bytes do not depend on worker scheduling.
+Each distinct CSV cell is rendered once: a series value equal to its
+agent's value one retained round before, or to its left neighbour, reuses
+that cell's text, and ``RunRecorder`` renders only a logged round's t and
+rewards, looking the rest of its text up. The summary reads the records
+in job order, which is replication order, so output bytes do not depend on
+worker scheduling.
 Replication i uses seed base_seed + i; re-running any single replication
 reproduces its series exactly.
 """
@@ -206,11 +208,7 @@ def _write_market_files(out: Path, rep_out: RepOutput, retained: list[int]) -> N
     _write_lines(
         out / f"series_rep{rep_out.rep:04d}.csv",
         ["t", "agent"] + [f"{kind}_regret" for kind in SERIES_KINDS],
-        (  # one round at a time, as Python floats: ``!s`` prints their shortest repr
-            f"{t},{a},{x!s},{y!s},{u!s},{v!s}\n"
-            for t, kinds in zip(retained, rep_out.rows)
-            for a, (x, y, u, v) in enumerate(zip(*kinds.tolist()), 1)
-        ),
+        _series_lines(retained, rep_out.rows),
     )
     if rep_out.phase_log:
         _write_csv(
@@ -241,6 +239,33 @@ def _write_market_files(out: Path, rep_out: RepOutput, retained: list[int]) -> N
             ["t", "firm", "gamma", "vacant"],
             rep_out.firm_log,
         )
+
+
+_CHUNK_VALUES = 512  # series values turned into Python floats at a time
+
+
+def _series_lines(retained: list[int], rows: np.ndarray):
+    """A series CSV line per retained round and agent; a repeated cell reuses its text.
+
+    A cell's text is the ``repr`` of its float. A nonzero value equal to the
+    same agent's value in the same column one retained round before, or to
+    the value left of it on the line, reuses that cell's text: 0.0 and -0.0
+    compare equal but print differently, and NaN equals nothing. Rows become
+    Python floats a bounded chunk of rounds at a time.
+    """
+    step = max(1, _CHUNK_VALUES // rows[0].size)
+    prev = [(0.0,) * 4 + ("",) * 4] * rows.shape[2]  # an agent's last values and texts
+    for start in range(0, len(retained), step):
+        chunk = rows[start:start + step].transpose(0, 2, 1).tolist()  # (round, agent, kind)
+        for t, agents in zip(retained[start:start + step], chunk):
+            for a, (x, y, u, v) in enumerate(agents):
+                px, py, pu, pv, sx, sy, su, sv = prev[a]
+                sx = sx if x and x == px else repr(x)
+                sy = sy if y and y == py else sx if y and y == x else repr(y)
+                su = su if u and u == pu else sy if u and u == y else repr(u)
+                sv = sv if v and v == pv else su if v and v == u else repr(v)
+                prev[a] = x, y, u, v, sx, sy, su, sv
+                yield f"{t},{a + 1},{sx},{sy},{su},{sv}\n"
 
 
 @dataclass

@@ -728,6 +728,58 @@ class TestCsvRendering:
         assert recorder.round_log == [agents] * 2
         assert recorder.firm_log == [firms] * 2
 
+    # a small pool, so that values repeat across rounds, columns and agents;
+    # 0.0 and -0.0 compare equal but print differently
+    POOL = (0.0, -0.0, 0.5, -0.5, 0.1, 5e-324, -5e-324, 1e16)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 3), rounds=st.integers(1, 8), chunk=st.integers(1, 40),
+           values=st.lists(st.sampled_from(POOL), min_size=96, max_size=96))
+    @example(n=2, rounds=2, chunk=8, values=[  # round, then kind, then agent
+        0.5, 0.1, 0.0, 0.1, -0.0, 0.5, 0.1, -0.0,
+        0.1, 0.5, -0.0, 0.1, -0.0, 0.5, 0.1, 0.0] + [0.0] * 80)
+    def test_series_lines_over_rounds_render_each_value_as_repr(self, n, rounds, chunk, values):
+        rows = np.array(values[:4 * n * rounds]).reshape(rounds, 4, n)
+        retained = list(range(3, 3 * rounds + 1, 3))
+        with pytest.MonkeyPatch.context() as mp:  # chunks of 1 to 40 values: 1 to 10 rounds
+            mp.setattr(runner, "_CHUNK_VALUES", chunk)
+            lines = list(runner._series_lines(retained, rows))
+        assert lines == [self.joined((t, a + 1, *map(repr, rows[r, :, a].tolist())))
+                         for r, t in enumerate(retained) for a in range(n)]
+
+    IVS = ((0,), (0, 1), (2, 0, 1), (1,))
+    APPS = ((), (0,), (1,), (2,))
+    MATCHES = ((None, None), (0, 1), (1, 0), (2, None), (None, 2))
+    GAMMAS = ((1, 1, 1), (0, 1, 1), (1, 0, 0))
+    VACANT = (frozenset(), frozenset({1}), frozenset({0, 2}))
+
+    @settings(max_examples=300, deadline=None)
+    @given(rounds=st.lists(st.tuples(
+        st.tuples(st.sampled_from(IVS), st.sampled_from(IVS)),
+        st.tuples(st.sampled_from(APPS), st.sampled_from(APPS)),
+        st.sampled_from(MATCHES), st.tuples(st.sampled_from(POOL), st.sampled_from(POOL)),
+        st.sampled_from(GAMMAS), st.sampled_from(VACANT)), min_size=1, max_size=8))
+    @example(rounds=[(((0,), (0,)), ((), ()), (None, None), (0.0, -0.0), (1, 1, 1), frozenset())]
+             * 2)
+    def test_round_logs_over_rounds_render_each_cell_as_str(self, rounds):
+        # the memoized cells must keep each agent's number and each round's t
+        market = Market(((0.9, 0.5, 0.2), (0.4, 0.8, 0.1)), ((0.5, 0.4), (0.3, 0.6), (0.2, 0.1)))
+        log_rounds = range(2, 2 * len(rounds) + 1, 2)
+        recorder = RunRecorder(market, (0.9, 0.8), (0.5, 0.4), EstimatorState(2, 3), (0, 1), (),
+                               retain_rounds=(), log_rounds=log_rounds)
+        agents, firms = [], []
+        for t, (ivs, apps, match, rewards, gamma, vacant) in zip(log_rounds, rounds):
+            recorder(RoundOutcome(t, ivs, apps, gamma, Matching(match, 3), rewards, vacant,
+                                  vacant))
+            agents.append("".join(self.joined((
+                t, a + 1, ";".join(str(f + 1) for f in ivs[a]),
+                ";".join(str(f + 1) for f in apps[a]), "" if match[a] is None else match[a] + 1,
+                rewards[a])) for a in range(2)))
+            firms.append("".join(self.joined((t, f + 1, g, int(f in vacant)))
+                                 for f, g in enumerate(gamma)))
+        assert recorder.round_log == agents
+        assert recorder.firm_log == firms
+
 
 class TestCli:
     def write_config(self, tmp_path, **overrides):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from interview_markets import hinted
+from interview_markets.config import config_from_dict
 from interview_markets.errors import ParameterError
 from interview_markets.hinted import (
     ArmState,
@@ -15,6 +16,7 @@ from interview_markets.hinted import (
     StepRecord,
 )
 from interview_markets.market import RewardModel
+from interview_markets.runner import run_experiment
 
 
 class FixedRandom:
@@ -189,6 +191,30 @@ class TestExpectedMax:
             for _ in range(40_000)
         ]
         assert abs(expected_max(0.5, 0.7, model) - np.mean(draws)) < 0.005
+
+    def test_gaussian_grid_integrates_once_per_pair_per_process(self, monkeypatch, tmp_path):
+        # every replication of a run probes the same few pairs; each pair's
+        # grid of 2002 points, two CDF calls a point, is integrated only once
+        hinted.expected_max.cache_clear()
+        pairs, cdf_calls = [], []
+        real_max, real_cdf = hinted.expected_max, hinted._gaussian_cdf
+
+        def spy_max(x, y, model):
+            pairs.append((x, y))
+            return real_max(x, y, model)
+
+        def spy_cdf(z, mean, model):
+            cdf_calls.append(mean)
+            return real_cdf(z, mean, model)
+
+        monkeypatch.setattr(hinted, "expected_max", spy_max)
+        monkeypatch.setattr(hinted, "_gaussian_cdf", spy_cdf)
+        raw = {"market": {"arms": [0.9, 0.75, 0.6, 0.45]}, "reward_kind": "gaussian",
+               "sigma": 0.1, "algorithm": "eap", "target_rank": 2, "horizon": 300,
+               "replications": 3, "base_seed": 1, "stride": 10}
+        run_experiment(config_from_dict(raw), out_dir=str(tmp_path))
+        assert len(pairs) > len(set(pairs))
+        assert len(cdf_calls) == 2 * 2002 * len(set(pairs))
 
 
 class TestHintedRegret:
