@@ -141,10 +141,8 @@ def rank_order(values: Sequence[float]) -> PrefList:
 
 def ground_truth_prefs(market: Market) -> tuple[list[PrefList], list[PrefList]]:
     """Preference lists induced by the mean matrices (decreasing mean)."""
-    agent_prefs, firm_prefs = (
-        [(0,)] * len(rows) if len(rows[0]) == 1 else [rank_order(row) for row in rows]
-        for rows in (market.agent_means, market.firm_means)  # one-level rows need no sort
-    )
+    agent_prefs = [rank_order(row) for row in market.agent_means]
+    firm_prefs = [rank_order(row) for row in market.firm_means]
     return agent_prefs, firm_prefs
 
 
@@ -344,22 +342,17 @@ def alpha_reducibility(market: Market) -> Optional[tuple[tuple[int, int], ...]]:
     return tuple(pairs)
 
 
-def _jittered_rows(
-    count: int, length: int, min_gap: float, rng: random.Random
-) -> list[list[float]]:
+def _jittered_rows(count: int, length: int, min_gap: float, rng: random.Random):
     """``count`` rows of ``length`` values in (0, 1), each row's pairwise
-    separation >= min_gap, in random order. One-level rows take one pass:
-    shuffling one element draws nothing."""
+    separation >= min_gap, in random order, one tuple at a time."""
     width = 1.0 / length
     half_play = (width - min_gap) / 2.0
-    if length == 1:
-        return [[0.5 + rng.uniform(-half_play, half_play)] for _ in range(count)]
-    rows = []
+    centers = [(i + 0.5) * width for i in range(length)]
+    uniform, shuffle = rng.uniform, rng.shuffle
     for _ in range(count):
-        levels = [(i + 0.5) * width + rng.uniform(-half_play, half_play) for i in range(length)]
-        rng.shuffle(levels)
-        rows.append(levels)
-    return rows
+        levels = [c + uniform(-half_play, half_play) for c in centers]
+        shuffle(levels)
+        yield tuple(levels)
 
 
 def generator_param_error(n: int, m: int, min_gap: float) -> Optional[tuple[str, str]]:
@@ -395,8 +388,8 @@ def generate_market(
 ) -> Market:
     """Random market with per-row mean separation >= min_gap."""
     _check_generator_params(n, m, min_gap)
-    agent_means = tuple(map(tuple, _jittered_rows(n, m, min_gap, rng)))
-    firm_means = tuple(map(tuple, _jittered_rows(m, n, min_gap, rng)))
+    agent_means = tuple(_jittered_rows(n, m, min_gap, rng))
+    firm_means = tuple(_jittered_rows(m, n, min_gap, rng))
     return Market(agent_means, firm_means, RewardModel(reward_kind, sigma))
 
 
@@ -414,8 +407,8 @@ def generate_alpha_reducible(
     layer i's sub-market, peer i carries the largest mean.
     """
     _check_generator_params(n, m, min_gap)
-    agent_rows = _jittered_rows(n, m, min_gap, rng)
-    firm_rows = _jittered_rows(m, n, min_gap, rng)
+    agent_rows = list(map(list, _jittered_rows(n, m, min_gap, rng)))
+    firm_rows = list(map(list, _jittered_rows(m, n, min_gap, rng)))
     for i in range(n):
         # agent a_i must top f_i among firms f_i..f_{m-1}
         row = agent_rows[i]

@@ -3,6 +3,7 @@ gaps (the paper's Δ) that set each agent's and firm's regret scale."""
 
 from __future__ import annotations
 
+import functools
 from array import array
 from collections import Counter
 from typing import Collection, Sequence
@@ -54,16 +55,10 @@ INVARIANTS = (
 )
 
 
-class _Memo(dict):
-    """The text ``render(*key)`` of each key seen, rendered on first use."""
-
-    def __init__(self, render):
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, key):
-        text = self[key] = self.render(*key)
-        return text
+# logged rounds whose round-log keys a recorder caches text for: a settled
+# run repeats a few keys, and a 20x30 ancdrr run that keeps learning cycles
+# through 16 to 32 rounds' worth of agent keys
+_CACHED_ROUNDS = 64
 
 
 def _agent_cells(a: int, interviews, applications, f) -> str:
@@ -92,10 +87,11 @@ class RunRecorder:
     string of finished CSV text: that round's line per agent (t, 1-based
     agent, interviewed and applied firms joined by ``;``, matched firm or
     empty, reward as ``str`` renders it) and per firm (t, firm, gamma, 1 if
-    vacant), firms 1-based, each line ending in a newline. Only t and the
-    rewards are rendered each round: an agent's cells between them are
-    memoized by (agent, interviews, applications, match), and a round's firm
-    lines after t by (gamma, vacant set).
+    vacant), firms 1-based, each line ending in a newline. A logged round
+    renders only its t and rewards: an agent's cells between them are cached
+    by (agent, interviews, applications, match), and the firm lines after t
+    by (gamma, vacant set), each cache holding the keys of at most
+    ``_CACHED_ROUNDS`` logged rounds, least recently used first out.
     """
 
     def __init__(
@@ -132,7 +128,8 @@ class RunRecorder:
         self._prev_gamma: Sequence[int] = (1,) * market.m
         self._prev_pool: Sequence[int] = (0,) * market.m
         self._log_rounds = frozenset(log_rounds)
-        self._agent_cells, self._firm_lines = _Memo(_agent_cells), _Memo(_firm_lines)
+        self._agent_cells = functools.lru_cache(_CACHED_ROUNDS * n)(_agent_cells)
+        self._firm_lines = functools.lru_cache(_CACHED_ROUNDS)(_firm_lines)
         self.round_log: list[str] = []
         self.firm_log: list[str] = []
 
@@ -158,13 +155,13 @@ class RunRecorder:
                 for a, (truth, b) in enumerate(self._targets)
             )
         if t in self._log_rounds:
-            cells, at = self._agent_cells, f"{t},"
-            keys = zip(range(market.n), outcome.interviews, outcome.applications,
-                       outcome.matching.agent_match)
+            at, cells = f"{t},", self._agent_cells
+            agents = zip(range(market.n), outcome.interviews, outcome.applications,
+                         outcome.matching.agent_match, outcome.rewards)
             self.round_log.append("".join([
-                f"{at}{cells[key]}{x!s}\n" for key, x in zip(keys, outcome.rewards)
+                f"{at}{cells(a, ivs, apps, f)}{x!s}\n" for a, ivs, apps, f, x in agents
             ]))
-            self.firm_log.append(at + at.join(self._firm_lines[outcome.gamma, outcome.vprime]))
+            self.firm_log.append(at + at.join(self._firm_lines(outcome.gamma, outcome.vprime)))
 
         events = self.events
         if not outcome.vprime <= outcome.v:

@@ -719,7 +719,7 @@ class TestCsvRendering:
         market = Market(((0.9, 0.5), (0.4, 0.8)), ((0.5, 0.4), (0.3, 0.6)))
         recorder = RunRecorder(market, (0.9, 0.8), (0.5, 0.4), EstimatorState(2, 2), (0, 1), (),
                                retain_rounds=[t], log_rounds=[t])
-        for _ in range(2):  # the second round's cells come from the memo
+        for _ in range(2):  # the second round reuses the first's cells
             recorder(RoundOutcome(t, ((0, 1), (1, 0, 1)), ((0,), ()), (1, 0),
                                   Matching((0, None), 2), rewards, frozenset({1}), frozenset({1})))
         agents = self.joined((t, 1, "1;2", "1", 1, rewards[0])) + self.joined(
@@ -762,7 +762,7 @@ class TestCsvRendering:
     @example(rounds=[(((0,), (0,)), ((), ()), (None, None), (0.0, -0.0), (1, 1, 1), frozenset())]
              * 2)
     def test_round_logs_over_rounds_render_each_cell_as_str(self, rounds):
-        # the memoized cells must keep each agent's number and each round's t
+        # the reused cells must keep each agent's number and each round's t
         market = Market(((0.9, 0.5, 0.2), (0.4, 0.8, 0.1)), ((0.5, 0.4), (0.3, 0.6), (0.2, 0.1)))
         log_rounds = range(2, 2 * len(rounds) + 1, 2)
         recorder = RunRecorder(market, (0.9, 0.8), (0.5, 0.4), EstimatorState(2, 3), (0, 1), (),
