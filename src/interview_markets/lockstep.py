@@ -187,7 +187,7 @@ class _Block:
 class _FirmPolicy:
     """``firms.StrategicFirmPolicy`` for a block: every firm's clocks as
     ``(R, m, n)`` rejection rounds ``r`` and ``(R, m)`` vacancy rounds ``c``,
-    which the caller stamps as ``StrategicFirmPolicy.observe`` does."""
+    stamped by :meth:`observe`."""
 
     def __init__(self, blk: _Block):
         R, n, m = blk.R, blk.n, blk.m
@@ -200,6 +200,7 @@ class _FirmPolicy:
         self.r = np.zeros((R, m, n), dtype=np.int64)
         self.c = np.zeros((R, m), dtype=np.int64)
         self._pool_rows = (blk.firm_rows + np.arange(m)) * n  # + agent: flat (R, m, n) index
+        self._agents = blk.agents
         self._abstained = np.zeros((R, m), dtype=bool)
 
     def decide(self, pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,6 +224,28 @@ class _FirmPolicy:
             offering &= ~abstain
         self._abstained = abstain
         return best, offering
+
+    def observe(self, t: int, pool: np.ndarray, hold: np.ndarray) -> np.ndarray | None:
+        """``StrategicFirmPolicy.observe`` for every firm, given its hire
+        ``hold`` from its ``(R, m, n)`` ``pool`` (-1: none): stamps ``c`` where
+        vacant and ``r`` for each applicant passed over, and returns those
+        rejections as a mask, or None when each application was a hire."""
+        vacant = hold < 0
+        self.c[vacant] = t
+        if np.count_nonzero(pool) == vacant.size - np.count_nonzero(vacant):
+            return None
+        rejected = pool & ~vacant[..., None] & (hold[..., None] != self._agents)
+        self.r[rejected] = t
+        return rejected
+
+
+def _first_open(is_open, keys, blk, t, what):
+    """Each agent's first ``is_open`` firm under ``keys``; raises if one has none."""
+    nonempty = is_open.any(-1)
+    if not nonempty.all():
+        i, a = np.argwhere(~nonempty)[0]
+        raise ProtocolError(f"replication {blk.reps[i]}: agent {a} has {what}", t)
+    return np.where(is_open, keys, np.inf).argmin(-1)
 
 
 def run_cia_block(config, market: Market, reps: Sequence[int]) -> Iterator[RepOutput]:
@@ -274,7 +297,7 @@ def run_drr_block(config, market: Market, reps: Sequence[int]) -> Iterator[RepOu
     keys (the ``t_gs`` snapshot while updating, the live keys while
     committing), and each firm with applicants offers to the first of them
     under its keys, or abstains as ``StrategicFirmPolicy.decide`` does; the
-    firm clocks follow ``StrategicFirmPolicy.observe``. Snapshots, commits,
+    firm clocks follow :meth:`_FirmPolicy.observe`. Snapshots, commits,
     resets and phase-log rows are rare and handled per replication.
     """
     blk = _Block(config, market, reps)
@@ -306,15 +329,8 @@ def run_drr_block(config, market: Market, reps: Sequence[int]) -> Iterator[RepOu
         else:
             updating = ~committing[:, None, None]
             cand = np.where(updating, r < t_gs[:, None, None], frozen)
-            nonempty = cand.any(-1)
-            if not nonempty.all():
-                i, a = np.argwhere(~nonempty)[0]
-                raise ProtocolError(
-                    f"replication {blk.reps[i]}: agent {a} has an empty candidate set"
-                    " in coordinated phase", t
-                )
             keys = np.where(updating, snapshot, live)
-        choice = np.where(cand, keys, np.inf).argmin(-1)  # (R, n)
+        choice = _first_open(cand, keys, blk, t, "an empty candidate set in coordinated phase")
         # committing agents self-trigger ("rej" before "inc") and abstain
         trigger = committing[:, None] & (rej_flag | (choice != committed))
         for i in commits.pop(t, ()):
@@ -326,21 +342,17 @@ def run_drr_block(config, market: Market, reps: Sequence[int]) -> Iterator[RepOu
         apply = ~trigger
         pool = apply[:, None, :] & (choice[:, None, :] == firms)  # (R, m, n)
         best, hired = firm_policy.decide(pool)  # one applicant each, so every offer is taken
-        firm_policy.c[~hired] = t
-        at_choice = blk.firm_rows + choice
-        matched = apply & (np.where(hired, best, -1).ravel()[at_choice] == agents)
+        hold = np.where(hired, best, -1)
+        rejected = firm_policy.observe(t, pool, hold)
+        held = hold.ravel()[blk.firm_rows + choice]  # only an applicant can be held
+        matched = held == agents
         match = np.where(matched, choice, -1)
 
         if not matched.all():
-            # an applicant passed over for another hire stamps both sides' r;
-            # one whose firm stayed vacant raises its rej_flag
-            lost = apply & ~matched
-            vacant = ~hired.ravel()[at_choice]
-            rej_flag |= lost & vacant
-            i, a = np.nonzero(lost & ~vacant)
-            f = choice[i, a]
-            r[i, a, f] = t
-            firm_policy.r[i, f, a] = t
+            # an applicant at a vacant firm raises rej_flag; one passed over takes r
+            rej_flag |= apply & (held < 0)
+            if rejected is not None:
+                r[rejected.transpose(0, 2, 1)] = t
             # V' is the set of vacant firms, so |V'| > m - n iff an agent is
             # unmatched; resets come only once a phase has committed, so no
             # scheduled commit is pending
@@ -398,12 +410,7 @@ def run_eancdrr_block(config, market: Market, reps: Sequence[int]) -> Iterator[R
     prev_hold = np.full((R, m), -1)  # the agent each firm held last round, -1: none
 
     for t in range(1, config.horizon + 1):
-        is_open = (r == 0) | reopened
-        nonempty = is_open.any(-1)
-        if not nonempty.all():
-            i, a = np.argwhere(~nonempty)[0]
-            raise ProtocolError(f"replication {blk.reps[i]}: agent {a} has no open firm", t)
-        target = np.where(is_open, live, np.inf).argmin(-1)  # (R, n)
+        target = _first_open((r == 0) | reopened, live, blk, t, "no open firm")
         if t == 1:  # no anchors yet: the target stands in, so no agent probes
             anchor, interviews = target, (target,)
         else:
@@ -428,25 +435,15 @@ def run_eancdrr_block(config, market: Market, reps: Sequence[int]) -> Iterator[R
         match = np.where(took_first, first, np.where(took_second, anchor, -1))
         hold = np.where(offering & (match.ravel()[blk.agent_rows + best] == firm_ids), best, -1)
 
-        # feedback: V' is the vacant firms, V adds those whose hire changed
-        vacant = hold < 0
-        changed = vacant | (hold != prev_hold)
-        firm_policy.c[vacant] = t  # an empty pool, an abstention or a declined offer
-        # V events reopen firms first, then this round's rejections close
-        # them again. A firm hiring someone else rejects each applicant it
-        # passed over, which stamps r on both sides; a vacant firm rejects
-        # no one, and a hire from a one-applicant pool passes no one over.
+        # feedback: V' is the vacant firms, V adds those whose hire changed;
+        # V events reopen firms first, then this round's rejections close them
+        changed = (hold < 0) | (hold != prev_hold)
         reopened |= changed[:, None, :] & (r >= 1)
-        held = hold.ravel()
-        for firm, applied in ((first, True), (anchor, probe)):
-            h = held[blk.firm_rows + firm]
-            rejected = applied & (h >= 0) & (h != agents)
-            if rejected.any():
-                i, a = np.nonzero(rejected)
-                f = firm[i, a]
-                r[i, a, f] = t
-                reopened[i, a, f] = False
-                firm_policy.r[i, f, a] = t
+        rejected = firm_policy.observe(t, pool, hold)
+        if rejected is not None:
+            rejected = rejected.transpose(0, 2, 1)
+            r[rejected] = t
+            reopened[rejected] = False
 
         blk.settle(t, interviews, match)
         # the firm held, else the anchor kept (round 1: the target applied to)

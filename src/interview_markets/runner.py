@@ -309,10 +309,12 @@ def _bandit_worker(args) -> list[BanditRepOutput]:
 
 
 def _map_reps(worker, jobs, workers: int):
-    if workers <= 1 or len(jobs) <= 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    processes = min(workers, len(jobs), cpus or 1)  # workers is outside input
+    if processes <= 1:
         return [worker(job) for job in jobs]
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=min(workers, len(jobs))) as pool:
+    with ctx.Pool(processes=processes) as pool:
         return pool.map(worker, jobs, chunksize=1)
 
 

@@ -653,9 +653,21 @@ class TestRunExperiment:
             Pool = RecordingPool
 
         monkeypatch.setattr(runner.multiprocessing, "get_context", lambda method: Context)
+        # nor more than the CPUs this process may use: four, then one, then,
+        # where sched_getaffinity is missing, os.cpu_count() (None: one)
+        monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
         assert runner._map_reps(abs, [-1, -2], 8) == [1, 2]
         assert runner._map_reps(abs, [-1, -2, -3], 2) == [1, 2, 3]
-        assert sizes == [2, 2]
+        assert runner._map_reps(abs, [-1, -2, -3, -4, -5], 8) == [1, 2, 3, 4, 5]
+        monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0})
+        assert runner._map_reps(abs, [-1, -2], 8) == [1, 2]
+        monkeypatch.delattr(runner.os, "sched_getaffinity")
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 3)
+        assert runner._map_reps(abs, [-1, -2, -3, -4], 8) == [1, 2, 3, 4]
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: None)
+        assert runner._map_reps(abs, [-1, -2], 8) == [1, 2]
+        assert sizes == [2, 2, 4, 3]
 
     def test_env_var_default_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("INTERVIEW_MARKETS_OUT", str(tmp_path / "envout"))

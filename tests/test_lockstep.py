@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from interview_markets import lockstep, runner
 from interview_markets.config import BANDIT_ALGORITHMS, ExperimentConfig, config_from_dict
 from interview_markets.errors import ProtocolError
+from interview_markets.firms import StrategicFirmPolicy
 from interview_markets.lockstep import run_cia_block, run_drr_block, run_eancdrr_block
 from interview_markets.market import Market, RewardModel
 from interview_markets.metrics import INVARIANTS
@@ -113,6 +114,42 @@ def test_blocks_hand_settle_only_firms(algorithm, market, firm_mode, horizon, ba
         patch.setattr(lockstep._Block, "settle", checked)
         list(BLOCKS[algorithm](config, market, range(2)))
     assert rounds == list(range(1, horizon + 1))
+
+
+# A block's firm feedback is the scalar one, firm by firm: over a few rounds
+# of pools, each firm holding one of its applicants or no one, r and c match
+# in every replication, and observe returns this round's rejections.
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    market=markets(),
+    firm_mode=st.sampled_from(["certain", "uncertain"]),
+    replications=st.integers(1, 3),
+    rounds=st.integers(1, 4),
+)
+def test_firm_policy_observe_equals_scalar_observe(data, market, firm_mode, replications, rounds):
+    R, n, m = replications, market.n, market.m
+    blk = lockstep._Block(block_config(firm_mode=firm_mode), market, range(R))
+    block = lockstep._FirmPolicy(blk)
+    scalar = [StrategicFirmPolicy(n, m, firm_mode) for _ in range(R)]
+    for t in range(1, rounds + 1):
+        cells = data.draw(st.lists(st.booleans(), min_size=R * m * n, max_size=R * m * n))
+        pool = np.array(cells).reshape(R, m, n)
+        applicants = [[np.flatnonzero(row).tolist() for row in firms] for firms in pool]
+        hold = np.array([[data.draw(st.sampled_from([-1, *row])) for row in firms]
+                         for firms in applicants])
+        rejected = block.observe(t, pool, hold)
+        for i, policy in enumerate(scalar):
+            for f in range(m):
+                hired = int(hold[i, f])
+                policy.observe(t, f, applicants[i][f], hired if hired >= 0 else None)
+        assert block.r.tolist() == [policy.r for policy in scalar]
+        assert block.c.tolist() == [policy.c for policy in scalar]
+        expected = np.array([policy.r for policy in scalar]) == t  # this round's stamps
+        if rejected is None:
+            assert not expected.any()
+        else:
+            assert (rejected == expected).all()
 
 
 # ancdrr has no block to equal, so this checks only that its agents always
