@@ -20,7 +20,7 @@ of the rejection itself never re-opens the firm.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .engine import AgentFeedback, AgentPlan
@@ -43,12 +43,11 @@ class DrrState:
 
 @dataclass
 class AncdrrState:
-    """A coordination-free agent's firm bookkeeping: the round of its last
-    non-strategic rejection by each firm (0 = never), and whether that firm
-    changed hands strictly after it."""
+    """A coordination-free agent's firm bookkeeping: the firms closed to it,
+    each of which made a non-strategic rejection of it and has not changed
+    hands strictly after its latest one."""
 
-    r: list[int]
-    reopened: list[bool]
+    closed: set[int] = field(default_factory=set)
 
 
 @dataclass
@@ -76,9 +75,9 @@ def _best_open_firm(order, state: AncdrrState, t: int, agent: int) -> int:
     since it last did. On a market with m >= n there always is one: a firm
     still closed to the agent has held one other agent without a break since
     it rejected it, so at most n - 1 < m firms are closed."""
-    r, reopened = state.r, state.reopened
+    closed = state.closed
     for f in order:
-        if r[f] == 0 or reopened[f]:
+        if f not in closed:
             return f
     raise ProtocolError(f"agent {agent} has no open firm", t)
 
@@ -176,7 +175,7 @@ class CoordinationFreePolicy:
         self.n = n
         self.m = m
         self.agent_est = agent_est
-        self.states = [AncdrrState([0] * m, [False] * m) for _ in range(n)]
+        self.states = [AncdrrState() for _ in range(n)]
 
     def plan(self, t: int) -> list[AgentPlan]:
         plans = []
@@ -187,7 +186,7 @@ class CoordinationFreePolicy:
         return plans
 
     def observe(self, t: int, feedback: AgentFeedback) -> None:
-        _apply_v_events_then_rejections(self.states, t, feedback)
+        _apply_v_events_then_rejections(self.states, feedback)
 
 
 class ExtendedCoordinationFreePolicy:
@@ -203,7 +202,7 @@ class ExtendedCoordinationFreePolicy:
         self.agent_est = agent_est
         self.lam = lam
         self.rng = rng
-        self.states = [EancdrrState([0] * m, [False] * m) for _ in range(n)]
+        self.states = [EancdrrState() for _ in range(n)]
 
     def plan(self, t: int) -> list[AgentPlan]:
         plans = []
@@ -225,7 +224,7 @@ class ExtendedCoordinationFreePolicy:
         return plans
 
     def observe(self, t: int, feedback: AgentFeedback) -> None:
-        _apply_v_events_then_rejections(self.states, t, feedback)
+        _apply_v_events_then_rejections(self.states, feedback)
         for i, st in enumerate(self.states):
             matched = feedback.own_match[i]
             if matched is not None:
@@ -234,19 +233,14 @@ class ExtendedCoordinationFreePolicy:
                 st.anchor = feedback.own_applications[i][0]
 
 
-def _apply_v_events_then_rejections(
-    states: list[AncdrrState], t: int, feedback: AgentFeedback
-) -> None:
+def _apply_v_events_then_rejections(states: list[AncdrrState], feedback: AgentFeedback) -> None:
     """Order matters: this round's hiring changes re-open firms first, then
     this round's rejections close them again, so a firm that rejected the
     agent while changing hands stays closed."""
-    for st in states:
-        for f in feedback.v:
-            if st.r[f] >= 1:
-                st.reopened[f] = True
+    v = feedback.v
     for i, st in enumerate(states):
+        st.closed -= v
         matched = feedback.own_match[i]
         for f in feedback.own_applications[i]:
             if matched != f and f not in feedback.vprime:
-                st.r[f] = t
-                st.reopened[f] = False
+                st.closed.add(f)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import functools
 from array import array
 from collections import Counter
-from typing import Collection, Sequence
+from typing import Collection, Sequence, TextIO
 
 import numpy as np
 
@@ -83,15 +83,16 @@ class RunRecorder:
     rows (``SERIES_KINDS`` order, one value per agent). At each of
     ``validity_rounds``, ``invalid[t]`` flags (1) every agent whose list in
     ``agent_est`` is invalid for its agent-optimal stable partner ``best``.
-    At each of ``log_rounds``, ``round_log`` and ``firm_log`` each gain one
-    string of finished CSV text: that round's line per agent (t, 1-based
-    agent, interviewed and applied firms joined by ``;``, matched firm or
-    empty, reward as ``str`` renders it) and per firm (t, firm, gamma, 1 if
-    vacant), firms 1-based, each line ending in a newline. A logged round
-    renders only its t and rewards: an agent's cells between them are cached
-    by (agent, interviews, applications, match), and the firm lines after t
-    by (gamma, vacant set), each cache holding the keys of at most
-    ``_CACHED_ROUNDS`` logged rounds, least recently used first out.
+    At each of ``log_rounds``, the two writable text files ``logs`` (rounds,
+    firms) each get that round's finished CSV text, so the recorder holds
+    none: a line per agent (t, 1-based agent, interviewed and applied firms
+    joined by ``;``, matched firm or empty, reward as ``str`` renders it) and
+    per firm (t, firm, gamma, 1 if vacant), firms 1-based, each line ending
+    in a newline. A logged round renders only its t and rewards: an agent's
+    cells between them are cached by (agent, interviews, applications,
+    match), and the firm lines after t by (gamma, vacant set), each cache
+    holding the keys of at most ``_CACHED_ROUNDS`` logged rounds, least
+    recently used first out.
     """
 
     def __init__(
@@ -106,6 +107,7 @@ class RunRecorder:
         expect_no_collisions: bool = False,
         certain_firms: bool = False,
         log_rounds: Collection[int] = (),
+        logs: Sequence[TextIO] = (),
     ):
         self.market = market
         n = market.n
@@ -128,10 +130,10 @@ class RunRecorder:
         self._prev_gamma: Sequence[int] = (1,) * market.m
         self._prev_pool: Sequence[int] = (0,) * market.m
         self._log_rounds = frozenset(log_rounds)
+        if self._log_rounds:
+            self._write_rounds, self._write_firms = (fh.write for fh in logs)
         self._agent_cells = functools.lru_cache(_CACHED_ROUNDS * n)(_agent_cells)
         self._firm_lines = functools.lru_cache(_CACHED_ROUNDS)(_firm_lines)
-        self.round_log: list[str] = []
-        self.firm_log: list[str] = []
 
     def __call__(self, outcome: RoundOutcome) -> None:
         market = self.market
@@ -158,10 +160,10 @@ class RunRecorder:
             at, cells = f"{t},", self._agent_cells
             agents = zip(range(market.n), outcome.interviews, outcome.applications,
                          outcome.matching.agent_match, outcome.rewards)
-            self.round_log.append("".join([
+            self._write_rounds("".join([
                 f"{at}{cells(a, ivs, apps, f)}{x!s}\n" for a, ivs, apps, f, x in agents
             ]))
-            self.firm_log.append(at + at.join(self._firm_lines(outcome.gamma, outcome.vprime)))
+            self._write_firms(at + at.join(self._firm_lines(outcome.gamma, outcome.vprime)))
 
         events = self.events
         if not outcome.vprime <= outcome.v:

@@ -2,13 +2,15 @@
 
 ``run_experiment`` is the one path from a config to its artifacts. It
 resolves the config's market or arms, splits the replications into
-contiguous blocks (one per worker in lockstep, else one per replication)
+contiguous blocks (one per process in lockstep, else one per replication)
 and maps ``_market_worker`` or ``_bandit_worker`` over them. A worker runs
-its block one replication at a time, or as one lockstep block, writes each
-replication's files as soon as it finishes, drops the full record before
+its block one replication at a time, or as one lockstep block, writes a
+logged replication's round and firm logs as each logged round completes
+and its other files as soon as it finishes, drops the full record before
 the next is built and hands back only what ``summary.json`` reads: no
 process holds more than one replication's record (or a lockstep block's
-arrays plus one record), and both keep its regret rows in one float array.
+arrays plus one record), both keep its regret rows in one float array,
+and no record holds log text.
 Each distinct CSV cell is rendered once: a series value equal to its
 agent's value one retained round before, or to its left neighbour, reuses
 that cell's text, and ``RunRecorder`` renders only a logged round's t and
@@ -89,8 +91,6 @@ class RepOutput:
     events: dict[str, int]  # every name in INVARIANTS -> its count
     invalid: dict[int, tuple[int, ...]]  # summary checkpoint t -> RunRecorder.invalid[t]
     phase_log: list = field(default_factory=list)
-    round_log: list = field(default_factory=list)
-    firm_log: list = field(default_factory=list)
 
 
 def _market_policy(config: ExperimentConfig, market: Market, agent_est, firm_est, policy_rng):
@@ -113,8 +113,11 @@ def replication_streams(seed: int) -> tuple[random.Random, random.Random]:
 
 
 def run_market_replication(
-    config: ExperimentConfig, market: Market, rep: int
+    config: ExperimentConfig, market: Market, rep: int, logs: tuple = ()
 ) -> RepOutput:
+    """One scalar replication; a logged config writes its round and firm
+    logs to ``logs`` (two open text files) as each logged round completes,
+    and logs nothing without them."""
     reward_rng, policy_rng = replication_streams(config.base_seed + rep)
     n, m = market.n, market.m
     agent_est = EstimatorState(n, m)
@@ -137,7 +140,8 @@ def run_market_replication(
         expect_no_collisions=config.algorithm == "cia",
         certain_firms=config.firm_mode == "certain",
         retain_rounds=checkpoint_rounds(T, stride),
-        log_rounds=[*range(stride, T + 1, stride), T] if config.log_rounds else (),
+        log_rounds=[*range(stride, T + 1, stride), T] if config.log_rounds and logs else (),
+        logs=logs,
     )
     result = run_horizon(
         market,
@@ -158,8 +162,6 @@ def run_market_replication(
         events={name: recorder.events[name] for name in INVARIANTS},
         invalid=recorder.invalid,
         phase_log=getattr(policy, "phase_log", []),
-        round_log=recorder.round_log,
-        firm_log=recorder.firm_log,
     )
 
 
@@ -180,15 +182,17 @@ def _runs_lockstep(config: ExperimentConfig, market: Market) -> bool:
 def _market_worker(args) -> list[RepOutput]:
     """The replications of one block, on the scalar engine or as a lockstep block.
 
-    Writes each replication's files to ``out`` and trims its record, before
-    the next replication's is built, to what the summary reads: rows at the
-    summary checkpoints, no round logs.
+    Writes each replication's files to ``out``, its round and firm logs
+    while it runs, and trims its record, before the next replication's is
+    built, to what the summary reads: rows at the summary checkpoints.
     """
     config, market, reps, out = args
     if _runs_lockstep(config, market):
         from . import lockstep
 
         outs = getattr(lockstep, _LOCKSTEP_BLOCKS[config.algorithm])(config, market, reps)
+    elif config.log_rounds:
+        outs = (_logged_replication(config, market, rep, out) for rep in reps)
     else:
         outs = (run_market_replication(config, market, rep) for rep in reps)
     T = config.horizon
@@ -198,13 +202,30 @@ def _market_worker(args) -> list[RepOutput]:
     for rep_out in outs:
         _write_market_files(out, rep_out, retained)
         rows = rep_out.rows[at_marks].tolist()  # lists cross the pool in less memory
-        kept.append(replace(rep_out, rows=rows, round_log=[], firm_log=[]))
+        kept.append(replace(rep_out, rows=rows))
         del rep_out  # else the full record lives on while the next one runs
     return kept
 
 
+def _logged_replication(config: ExperimentConfig, market: Market, rep: int, out: Path):
+    """``run_market_replication`` writing its logs to ``out`` as it runs; a
+    replication that raises leaves neither log file."""
+    paths = [out / f"{kind}_rep{rep:04d}.csv" for kind in ("rounds", "firms")]
+    try:
+        with (
+            _open_csv(paths[0], ["t", "agent", "interviewed", "applied", "matched", "reward"])
+            as rounds,
+            _open_csv(paths[1], ["t", "firm", "gamma", "vacant"]) as firms,
+        ):
+            return run_market_replication(config, market, rep, (rounds, firms))
+    except BaseException:
+        for path in paths:
+            path.unlink(missing_ok=True)
+        raise
+
+
 def _write_market_files(out: Path, rep_out: RepOutput, retained: list[int]) -> None:
-    """A replication's series, and its phase and round logs when it has them."""
+    """A replication's series, and its phase log when it has one."""
     _write_lines(
         out / f"series_rep{rep_out.rep:04d}.csv",
         ["t", "agent"] + [f"{kind}_regret" for kind in SERIES_KINDS],
@@ -227,17 +248,6 @@ def _write_market_files(out: Path, rep_out: RepOutput, retained: list[int]) -> N
                 )
                 for p in rep_out.phase_log
             ],
-        )
-    if rep_out.round_log:
-        _write_lines(
-            out / f"rounds_rep{rep_out.rep:04d}.csv",
-            ["t", "agent", "interviewed", "applied", "matched", "reward"],
-            rep_out.round_log,
-        )
-        _write_lines(
-            out / f"firms_rep{rep_out.rep:04d}.csv",
-            ["t", "firm", "gamma", "vacant"],
-            rep_out.firm_log,
         )
 
 
@@ -308,9 +318,15 @@ def _bandit_worker(args) -> list[BanditRepOutput]:
     return kept
 
 
-def _map_reps(worker, jobs, workers: int):
+def _process_count(workers: int, jobs: int) -> int:
+    """Processes for ``jobs`` jobs: no more than ``workers``, which is outside
+    input, nor than the CPUs this process may use."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    processes = min(workers, len(jobs), cpus or 1)  # workers is outside input
+    return min(workers, jobs, cpus or 1)
+
+
+def _map_reps(worker, jobs, workers: int):
+    processes = _process_count(workers, len(jobs))
     if processes <= 1:
         return [worker(job) for job in jobs]
     ctx = multiprocessing.get_context("fork")
@@ -336,10 +352,16 @@ def resolve_out_dir(config: ExperimentConfig, override: Optional[str] = None) ->
     return Path("out")
 
 
+def _open_csv(path: Path, header: list[str]):
+    """``path`` opened for writing finished CSV text, its header written."""
+    fh = open(path, "w", newline="")
+    fh.write(",".join(header) + "\n")
+    return fh
+
+
 def _write_lines(path: Path, header: list[str], lines) -> None:
     """The header, then ``lines``: finished CSV text, each ending in a newline."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    with _open_csv(path, header) as fh:
         fh.writelines(lines)
 
 
@@ -380,8 +402,9 @@ def run_experiment(
     if in_lockstep:  # only when used; before the fork, so the workers share the module
         from . import lockstep  # noqa: F401
     count = config.replications
-    # a lockstep block costs per round; one-replication jobs let idle workers cover a slow one
-    k = min(workers, count) if in_lockstep else count
+    # a lockstep block costs per round, so one a process; one-replication
+    # jobs let idle workers cover a slow one
+    k = _process_count(workers, count) if in_lockstep else count
     jobs = [(config, source, range(count * i // k, count * (i + 1) // k), out) for i in range(k)]
     worker = _market_worker if is_market else _bandit_worker
     reps = [r for outs in _map_reps(worker, jobs, workers) for r in outs]

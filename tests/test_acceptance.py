@@ -183,7 +183,7 @@ def test_criterion_03_golden_examples():
     agent_est = OracleEstimator(market.agent_means)
     firm_est = OracleEstimator(market.firm_means)
     policy = CoordinationFreePolicy(2, 2, agent_est)
-    policy.states[1].r[1] = 1
+    policy.states[1].closed.add(1)
     outcomes = []
     run_horizon(
         market, agent_est, firm_est, policy, StrategicFirmPolicy(2, 2, "certain"),
@@ -266,7 +266,7 @@ def test_criterion_07b_eancdrr_escapes_cycle():
         policy = ExtendedCoordinationFreePolicy(
             2, 2, agent_est, 0.5, random.Random(50_000 + seed)
         )
-        policy.states[1].r[1] = 1
+        policy.states[1].closed.add(1)
         policy.states[0].anchor = 1
         policy.states[1].anchor = 1
         result = run_horizon(

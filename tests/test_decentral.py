@@ -62,14 +62,15 @@ class TestAncdrrScan:
     those that never rejected it or were reopened since, and raise a
     ProtocolError for an agent with none."""
 
-    @pytest.mark.parametrize("r, reopened, target", [
-        ([5, 0], [True, False], 0),  # a reopened firm is open
-        ([5, 0], [False, False], 1),  # a closed firm is skipped
-        ([0, 0], [False, False], 0),  # round one: every firm is open
+    @pytest.mark.parametrize("closed, v, target", [
+        ({0}, {0}, 0),  # a reopened firm is open
+        ({0}, set(), 1),  # a closed firm is skipped
+        (set(), set(), 0),  # round one: every firm is open
     ])
-    def test_open_firms(self, r, reopened, target):
+    def test_open_firms(self, closed, v, target):
         for policy in coordination_free_policies(1, 2, OracleEstimator([[0.9, 0.5]])):
-            policy.states[0].r, policy.states[0].reopened = r, reopened
+            policy.states[0].closed = set(closed)
+            policy.observe(4, feedback((), v, [()], [None]))  # firms in v change hands
             assert policy.plan(5)[0].interviews[0] == target
 
     @settings(max_examples=100, deadline=None)
@@ -94,9 +95,8 @@ class TestAncdrrScan:
         for policy in coordination_free_policies(n, m, est):
             expected = []
             for i, state in enumerate(policy.states):
-                state.r = data.draw(hs.lists(hs.integers(0, 3), min_size=m, max_size=m))
-                state.reopened = data.draw(hs.lists(hs.booleans(), min_size=m, max_size=m))
-                cand = tuple(f for f in range(m) if state.r[f] == 0 or state.reopened[f])
+                state.closed = data.draw(hs.sets(hs.integers(0, m - 1)))
+                cand = tuple(f for f in range(m) if f not in state.closed)
                 expected.append(est.argmax(i, cand) if cand else None)
             if None in expected:  # hand-set states can close every firm
                 message = f"round 5: agent {expected.index(None)} has no open firm"
@@ -245,8 +245,7 @@ class TestCoordinatedTriggers:
 class TestAncdrrCycle:
     def seeded_cycle_policy(self, agent_est):
         policy = CoordinationFreePolicy(2, 2, agent_est)
-        policy.states[1].r[1] = 1  # agent 1 rejected by firm 1 pre-horizon
-        policy.states[1].reopened[1] = False
+        policy.states[1].closed.add(1)  # agent 1 rejected by firm 1 pre-horizon
         return policy
 
     def test_period_two_cycle_with_oracle_estimates(self):
@@ -314,8 +313,7 @@ class TestAncdrrCycle:
 
     def test_no_open_firm_is_a_protocol_error(self):
         for policy in coordination_free_policies(1, 2, OracleEstimator([[0.9, 0.5]])):
-            policy.states[0].r = [3, 4]
-            policy.states[0].reopened = [False, False]
+            policy.states[0].closed = {0, 1}
             with pytest.raises(ProtocolError, match="round 5: agent 0 has no open firm"):
                 policy.plan(5)
 
@@ -373,8 +371,7 @@ class TestExtended:
         policy = ExtendedCoordinationFreePolicy(2, 2, agent_est, 0.5, FixedRandom([0.0, 0.9]))
         policy.states[0].anchor = 1  # agent 0 matched at firm 1, probes firm 0
         policy.states[1].anchor = 0  # agent 1 stays on firm 0
-        policy.states[1].r[1] = 1
-        policy.states[1].reopened[1] = False
+        policy.states[1].closed.add(1)
         outcomes = []
         run_horizon(
             market, agent_est, firm_est, policy, StrategicFirmPolicy(2, 2, "certain"),
@@ -395,7 +392,7 @@ class TestExtended:
         escaped = 0
         for seed in range(30):
             policy = ExtendedCoordinationFreePolicy(2, 2, agent_est, 0.5, random.Random(900 + seed))
-            policy.states[1].r[1] = 1
+            policy.states[1].closed.add(1)
             policy.states[0].anchor = 1
             policy.states[1].anchor = 1
             result = run_horizon(

@@ -1,3 +1,4 @@
+import io
 import json
 import re
 import subprocess
@@ -27,7 +28,7 @@ from interview_markets.config import (
     load_config,
 )
 from interview_markets.engine import RoundOutcome
-from interview_markets.errors import ConfigError
+from interview_markets.errors import ConfigError, ProtocolError
 from interview_markets.estimation import EstimatorState
 from interview_markets.market import (
     MAX_GENERATED_PAIRS,
@@ -543,6 +544,35 @@ class TestRunExperiment:
         for lines in (rounds, firms):
             assert [tuple(map(int, line.split(",")[:2])) for line in lines[1:]] == expected
 
+    def test_failed_replication_leaves_no_round_logs(self, tmp_path, monkeypatch):
+        # the logs are written while a replication runs; one that raises
+        # leaves neither file, and the replications before it keep theirs
+        config = config_from_dict(base_config(algorithm="ancdrr", horizon=100, replications=3,
+                                              stride=10, log_rounds=True))
+        market_policy, made = runner._market_policy, []
+
+        def policy_failing_second(*args):
+            policy = market_policy(*args)
+            made.append(policy)
+            if len(made) == 2:
+                plan = policy.plan
+
+                def failing_plan(t):
+                    if t == 55:
+                        assert (tmp_path / "rounds_rep0001.csv").exists()
+                        raise ProtocolError("agent 0 has no open firm", t)
+                    return plan(t)
+
+                policy.plan = failing_plan
+            return policy
+
+        monkeypatch.setattr(runner, "_market_policy", policy_failing_second)
+        with pytest.raises(ProtocolError, match="round 55: agent 0 has no open firm"):
+            run_experiment(config, out_dir=str(tmp_path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "firms_rep0000.csv", "rounds_rep0000.csv", "series_rep0000.csv"]
+        assert (tmp_path / "rounds_rep0000.csv").read_text().count("\n") == 1 + 10 * 3
+
     def test_drr_emits_phase_log(self, tmp_path):
         config = config_from_dict(base_config(algorithm="drr", horizon=300, replications=1))
         run_experiment(config, out_dir=str(tmp_path))
@@ -567,7 +597,6 @@ class TestRunExperiment:
         assert len(marks) < len(retained)
         assert [r.rep for r in outs] == list(reps)
         for r in outs:
-            assert r.round_log == [] and r.firm_log == []
             full = runner.run_market_replication(config, market, r.rep)
             # plain lists, which cross a process pool in less memory than arrays
             assert r.rows == [full.rows[retained.index(t)].tolist() for t in marks]
@@ -633,10 +662,10 @@ class TestRunExperiment:
         lines = (tmp_path / "series_rep0000.csv").read_text().splitlines()
         assert lines[0] == "t,hinted_regret"
 
-    def test_pool_has_no_more_processes_than_jobs(self, monkeypatch):
-        sizes = []
+    def test_pool_has_no_more_processes_than_jobs(self, tmp_path, monkeypatch):
+        sizes, job_counts = [], []
 
-        class RecordingPool:  # records its size and runs the jobs in this process
+        class RecordingPool:  # records its size and jobs and runs them in this process
             def __init__(self, processes):
                 sizes.append(processes)
 
@@ -647,6 +676,7 @@ class TestRunExperiment:
                 return False
 
             def map(self, fn, jobs, chunksize=1):
+                job_counts.append(len(jobs))
                 return [fn(job) for job in jobs]
 
         class Context:
@@ -660,14 +690,20 @@ class TestRunExperiment:
         assert runner._map_reps(abs, [-1, -2], 8) == [1, 2]
         assert runner._map_reps(abs, [-1, -2, -3], 2) == [1, 2, 3]
         assert runner._map_reps(abs, [-1, -2, -3, -4, -5], 8) == [1, 2, 3, 4, 5]
+        # a lockstep config makes one block a process, not one a worker
+        lockstep = config_from_dict(base_config(algorithm="drr", horizon=50, replications=6))
+        assert runner._runs_lockstep(lockstep, experiment_source(lockstep))
+        run_experiment(lockstep, out_dir=str(tmp_path / "four"), workers=8)
         monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0})
         assert runner._map_reps(abs, [-1, -2], 8) == [1, 2]
         monkeypatch.delattr(runner.os, "sched_getaffinity")
         monkeypatch.setattr(runner.os, "cpu_count", lambda: 3)
         assert runner._map_reps(abs, [-1, -2, -3, -4], 8) == [1, 2, 3, 4]
+        run_experiment(lockstep, out_dir=str(tmp_path / "three"), workers=8)
         monkeypatch.setattr(runner.os, "cpu_count", lambda: None)
         assert runner._map_reps(abs, [-1, -2], 8) == [1, 2]
-        assert sizes == [2, 2, 4, 3]
+        assert sizes == [2, 2, 4, 4, 3, 3]
+        assert job_counts == [2, 3, 5, 4, 4, 3]
 
     def test_env_var_default_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("INTERVIEW_MARKETS_OUT", str(tmp_path / "envout"))
@@ -729,16 +765,16 @@ class TestCsvRendering:
     @example(t=7, rewards=(1e-05, 1e16))
     def test_round_log_lines_render_as_joined_cells(self, t, rewards):
         market = Market(((0.9, 0.5), (0.4, 0.8)), ((0.5, 0.4), (0.3, 0.6)))
+        logs = io.StringIO(), io.StringIO()
         recorder = RunRecorder(market, (0.9, 0.8), (0.5, 0.4), EstimatorState(2, 2), (0, 1), (),
-                               retain_rounds=[t], log_rounds=[t])
+                               retain_rounds=[t], log_rounds=[t], logs=logs)
         for _ in range(2):  # the second round reuses the first's cells
             recorder(RoundOutcome(t, ((0, 1), (1, 0, 1)), ((0,), ()), (1, 0),
                                   Matching((0, None), 2), rewards, frozenset({1}), frozenset({1})))
         agents = self.joined((t, 1, "1;2", "1", 1, rewards[0])) + self.joined(
             (t, 2, "2;1;2", "", "", rewards[1]))
         firms = self.joined((t, 1, 1, 0)) + self.joined((t, 2, 0, 1))
-        assert recorder.round_log == [agents] * 2
-        assert recorder.firm_log == [firms] * 2
+        assert [fh.getvalue() for fh in logs] == [agents * 2, firms * 2]
 
     # a small pool, so that values repeat across rounds, columns and agents;
     # 0.0 and -0.0 compare equal but print differently
@@ -777,8 +813,9 @@ class TestCsvRendering:
         # the reused cells must keep each agent's number and each round's t
         market = Market(((0.9, 0.5, 0.2), (0.4, 0.8, 0.1)), ((0.5, 0.4), (0.3, 0.6), (0.2, 0.1)))
         log_rounds = range(2, 2 * len(rounds) + 1, 2)
+        logs = io.StringIO(), io.StringIO()
         recorder = RunRecorder(market, (0.9, 0.8), (0.5, 0.4), EstimatorState(2, 3), (0, 1), (),
-                               retain_rounds=(), log_rounds=log_rounds)
+                               retain_rounds=(), log_rounds=log_rounds, logs=logs)
         agents, firms = [], []
         for t, (ivs, apps, match, rewards, gamma, vacant) in zip(log_rounds, rounds):
             recorder(RoundOutcome(t, ivs, apps, gamma, Matching(match, 3), rewards, vacant,
@@ -789,8 +826,7 @@ class TestCsvRendering:
                 rewards[a])) for a in range(2)))
             firms.append("".join(self.joined((t, f + 1, g, int(f in vacant)))
                                  for f, g in enumerate(gamma)))
-        assert recorder.round_log == agents
-        assert recorder.firm_log == firms
+        assert [fh.getvalue() for fh in logs] == ["".join(agents), "".join(firms)]
 
 
 class TestCli:
