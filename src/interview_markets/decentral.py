@@ -1,6 +1,7 @@
 """Decentralized agent algorithms.
 
-Three policies share the rejection-clock machinery but differ in feedback:
+Three policies share one open-firm rule (``_best_open_firm``: the first firm
+of a list outside the agent's closed set) but differ in feedback:
 
 * ``CoordinatedPolicy`` (vacancy feedback only): alternates fixed-length
   distributed deferred-acceptance phases with committing phases, using the
@@ -12,9 +13,13 @@ Three policies share the rejection-clock machinery but differ in feedback:
   matched anchor firm and only probes upward with probability lambda,
   applying to a pair of firms so a failed probe does not vacate the anchor.
 
-A hiring-change event lands in an agent's candidate bookkeeping only when it
-happens strictly after the agent's latest rejection by that firm; the round
-of the rejection itself never re-opens the firm.
+A ``drr`` agent's closed set holds the firms that rejected it in the current
+phase. It is frozen from the commit on: a rejection while committing leaves
+an agent unmatched, which resets the phase in the same round. A
+coordination-free agent's closed set holds the firms that rejected it and
+have not changed hands since: a hiring change re-opens a firm only when it
+happens strictly after the agent's latest rejection by that firm, so the
+round of the rejection itself never re-opens it.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from typing import Optional
 
 from .engine import AgentFeedback, AgentPlan
 from .errors import ParameterError, ProtocolError
-from .estimation import first_in
 from .central import round_robin_firm
 
 
@@ -33,10 +37,9 @@ from .central import round_robin_firm
 class DrrState:
     """One ``drr`` agent within the current phase."""
 
-    r: list[int]  # round of the last rejection by each firm, 0 = never
+    closed: set[int] = field(default_factory=set)  # firms that rejected it since t_gs
     rej_flag: bool = False  # own applied firm went vacant since t_gs
     snapshot: Optional[tuple[int, ...]] = None  # its pref_list at t_gs
-    frozen_candidates: Optional[tuple[int, ...]] = None
     committed: Optional[int] = None
     trigger: Optional[str] = None  # "rej" or "inc" once it abstains to signal
 
@@ -60,26 +63,20 @@ def drr_phase_length(n: int) -> int:
     return 3 * n * n
 
 
-def drr_candidate_set(r: list[int], t_gs: int, t: int, agent: int) -> tuple[int, ...]:
-    """Firms with no recorded rejection since the current phase started."""
-    cand = tuple(f for f, last in enumerate(r) if last < t_gs)
-    if not cand:
-        raise ProtocolError(
-            f"agent {agent} has an empty candidate set in coordinated phase", t
-        )
-    return cand
+EMPTY_CANDIDATES = "an empty candidate set in coordinated phase"
+NO_OPEN_FIRM = "no open firm"
 
 
-def _best_open_firm(order, state: AncdrrState, t: int, agent: int) -> int:
-    """First firm of ``order`` that never rejected the agent or changed hands
-    since it last did. On a market with m >= n there always is one: a firm
-    still closed to the agent has held one other agent without a break since
-    it rejected it, so at most n - 1 < m firms are closed."""
-    closed = state.closed
+def _best_open_firm(order, closed: set[int], t: int, agent: int, what: str) -> int:
+    """First firm of ``order`` outside ``closed``; raises ``agent {agent} has
+    {what}`` when there is none. For the coordination-free agents there
+    always is one on a market with m >= n: a firm still closed to the agent
+    has held one other agent without a break since it rejected it, so at
+    most n - 1 < m firms are closed."""
     for f in order:
         if f not in closed:
             return f
-    raise ProtocolError(f"agent {agent} has no open firm", t)
+    raise ProtocolError(f"agent {agent} has {what}", t)
 
 
 class CoordinatedPolicy:
@@ -96,7 +93,7 @@ class CoordinatedPolicy:
         self.phase_length = drr_phase_length(n)
         self.t_gs = 1
         self.rho = 0
-        self.states = [DrrState([0] * m) for _ in range(n)]
+        self.states = [DrrState() for _ in range(n)]
         # phase log rows: (index, t_gs, trigger kinds, committed profile)
         self.phase_log: list[dict] = [
             {"index": 0, "t_gs": 1, "triggers": "init", "committed": None}
@@ -114,11 +111,9 @@ class CoordinatedPolicy:
                 rr = round_robin_firm(i, t, self.m)
                 if st.snapshot is None:  # a phase's states start without one
                     st.snapshot = self.agent_est.snapshot_row(i)
-                cand = drr_candidate_set(st.r, t_gs, t, i)
-                target = first_in(st.snapshot, cand)
+                target = _best_open_firm(st.snapshot, st.closed, t, i, EMPTY_CANDIDATES)
                 if t == commit_round:
                     st.committed = target
-                    st.frozen_candidates = cand
                 plans.append(AgentPlan((target, rr), (target,)))
             if t == commit_round:
                 self.rho = 1
@@ -126,7 +121,8 @@ class CoordinatedPolicy:
         else:
             for i, st in enumerate(self.states):
                 rr = round_robin_firm(i, t, self.m)
-                current = self.agent_est.argmax(i, st.frozen_candidates)
+                order = self.agent_est.pref_list(i)
+                current = _best_open_firm(order, st.closed, t, i, EMPTY_CANDIDATES)
                 if st.rej_flag:
                     st.trigger = "rej"
                 elif current != st.committed:
@@ -149,7 +145,7 @@ class CoordinatedPolicy:
                     if f in feedback.vprime:
                         st.rej_flag = True  # strategic abstention hit this agent
                     else:
-                        st.r[f] = t  # rejected in favor of another hire
+                        st.closed.add(f)  # rejected in favor of another hire
             if st.trigger is not None:
                 kinds.add(st.trigger)
             elif vac_signal:
@@ -157,7 +153,7 @@ class CoordinatedPolicy:
         if kinds:
             self.t_gs = t + 1
             self.rho = 0
-            self.states = [DrrState([0] * self.m) for _ in range(self.n)]
+            self.states = [DrrState() for _ in range(self.n)]
             self.phase_log.append(
                 {
                     "index": len(self.phase_log),
@@ -181,7 +177,7 @@ class CoordinationFreePolicy:
         plans = []
         for i, st in enumerate(self.states):
             rr = round_robin_firm(i, t, self.m)
-            target = _best_open_firm(self.agent_est.pref_list(i), st, t, i)
+            target = _best_open_firm(self.agent_est.pref_list(i), st.closed, t, i, NO_OPEN_FIRM)
             plans.append(AgentPlan((target, rr), (target,)))
         return plans
 
@@ -208,7 +204,7 @@ class ExtendedCoordinationFreePolicy:
         plans = []
         for i, st in enumerate(self.states):
             rr = round_robin_firm(i, t, self.m)
-            target = _best_open_firm(self.agent_est.pref_list(i), st, t, i)
+            target = _best_open_firm(self.agent_est.pref_list(i), st.closed, t, i, NO_OPEN_FIRM)
             anchor = st.anchor
             if anchor is None:
                 plans.append(AgentPlan((target, rr), (target,)))

@@ -59,9 +59,9 @@ class AgentSidePolicy(Protocol):
 
 
 class FirmSidePolicy(Protocol):
-    def decide(self, t: int, firm: int, pool: Sequence[int], order: Sequence[int]) -> int: ...
+    def decide(self, firm: int, pool: Sequence[int], order: Sequence[int]) -> int: ...
 
-    def observe(self, t: int, firm: int, pool: Sequence[int], hired: Optional[int]) -> None: ...
+    def observe(self, firm: int, pool: Sequence[int], hired: Optional[int]) -> None: ...
 
 
 @dataclass(slots=True)
@@ -150,7 +150,7 @@ def run_horizon(
             if not pool:
                 continue
             order = firm_est.pref_list(f)
-            gamma[f] = decide(t, f, pool, order)
+            gamma[f] = decide(f, pool, order)
             if gamma[f]:
                 offers[f] = pool[0] if len(pool) == 1 else first_in(order, pool)
 
@@ -193,7 +193,7 @@ def run_horizon(
         vprime, v = compute_feedback(firm_hold, prev_hold)
 
         for f, pool in enumerate(pools):
-            firm_observe(t, f, pool, firm_hold[f])
+            firm_observe(f, pool, firm_hold[f])
         matching = Matching(tuple(agent_match), m)
         apps = tuple([plan.applications for plan in plans])
         feedback = AgentFeedback(vprime, v, apps, matching.agent_match)

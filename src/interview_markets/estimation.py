@@ -80,7 +80,8 @@ class EstimatorState:
         return result
 
     def argmax(self, owner: int, candidates: Collection[int]) -> int:
-        """Best peer among candidates under the estimated order."""
+        """Best peer among candidates under the estimated order. No policy
+        calls it; it stays because ``perfbench/tracing.py`` wraps it."""
         return first_in(self.pref_list(owner), candidates)
 
     def snapshot_row(self, owner: int) -> PrefList:
@@ -101,9 +102,6 @@ class OracleEstimator:
 
     def pref_list(self, owner: int) -> PrefList:
         return self._lists[owner]
-
-    def argmax(self, owner: int, candidates: Collection[int]) -> int:
-        return first_in(self.pref_list(owner), candidates)
 
     def snapshot_row(self, owner: int) -> PrefList:
         return self.pref_list(owner)

@@ -19,8 +19,9 @@ Every replication's :class:`RepOutput` equals the one
   rerun only for the replications whose lists on either side moved;
 - the ranking rule is ``estimation._sort_key`` (``market.rank_order`` for
   certain firms) as numpy keys: a stable argsort gives a ``pref_list``, and
-  a masked ``argmin`` gives ``estimation.first_in`` over a candidate set,
-  its first-occurrence rule breaking ties by index;
+  a masked ``argmin`` gives ``estimation.first_in`` over a candidate set
+  and ``decentral._best_open_firm`` outside a closed mask, its
+  first-occurrence rule breaking ties by index;
 - convergence is ``engine.run_horizon``'s agent-perfect streak, and the
   retained rounds are ``runner.checkpoint_rounds``;
 - list validity (``RunRecorder.invalid``) is read off the same argsort
@@ -40,7 +41,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .central import round_robin_firm
-from .decentral import drr_phase_length
+from .decentral import EMPTY_CANDIDATES, NO_OPEN_FIRM, drr_phase_length
 from .errors import ProtocolError
 from .market import Market, _deferred_acceptance, rank_order
 from .metrics import INVARIANTS
@@ -185,9 +186,8 @@ class _Block:
 
 
 class _FirmPolicy:
-    """``firms.StrategicFirmPolicy`` for a block: every firm's clocks as
-    ``(R, m, n)`` rejection rounds ``r`` and ``(R, m)`` vacancy rounds ``c``,
-    stamped by :meth:`observe`."""
+    """``firms.StrategicFirmPolicy`` for a block: every firm's passed-over
+    set as one ``(R, m, n)`` mask ``passed``, kept by :meth:`observe`."""
 
     def __init__(self, blk: _Block):
         R, n, m = blk.R, blk.n, blk.m
@@ -197,8 +197,7 @@ class _FirmPolicy:
             if blk.uncertain
             else np.broadcast_to(-blk.firm_means, (R, m, n))  # OracleEstimator's order
         )
-        self.r = np.zeros((R, m, n), dtype=np.int64)
-        self.c = np.zeros((R, m), dtype=np.int64)
+        self.passed = np.zeros((R, m, n), dtype=bool)
         self._pool_rows = (blk.firm_rows + np.arange(m)) * n  # + agent: flat (R, m, n) index
         self._agents = blk.agents
         self._abstained = np.zeros((R, m), dtype=bool)
@@ -207,12 +206,11 @@ class _FirmPolicy:
         """Each firm's best applicant under its keys, and whether it offers.
 
         ``pool`` is ``(R, m, n)``. A firm takes the first agent of its order
-        that applied or, if it is uncertain, that it rejected (r >= 1) at or
-        after its last vacancy (c); it abstains when that agent did not
-        apply, and a firm without applicants does not offer."""
+        that applied or, if it is uncertain, that it passed over since its
+        last vacancy; it abstains when that agent did not apply, and a firm
+        without applicants does not offer."""
         offering = pool.any(-1)
-        r, c = self.r, self.c
-        heads = pool | ((r >= 1) & (r >= c[..., None])) if self.uncertain else pool
+        heads = pool | self.passed if self.uncertain else pool
         best = np.where(heads, self.keys, np.inf).argmin(-1)  # (R, m)
         abstain = offering & ~pool.ravel()[self._pool_rows + best]
         if abstain.any():
@@ -225,22 +223,23 @@ class _FirmPolicy:
         self._abstained = abstain
         return best, offering
 
-    def observe(self, t: int, pool: np.ndarray, hold: np.ndarray) -> np.ndarray | None:
+    def observe(self, pool: np.ndarray, hold: np.ndarray) -> np.ndarray | None:
         """``StrategicFirmPolicy.observe`` for every firm, given its hire
-        ``hold`` from its ``(R, m, n)`` ``pool`` (-1: none): stamps ``c`` where
-        vacant and ``r`` for each applicant passed over, and returns those
-        rejections as a mask, or None when each application was a hire."""
+        ``hold`` from its ``(R, m, n)`` ``pool`` (-1: none): clears
+        ``passed`` where vacant, adds each applicant passed over, and returns
+        those rejections as a mask, or None when each application was a hire."""
         vacant = hold < 0
-        self.c[vacant] = t
+        self.passed[vacant] = False
         if np.count_nonzero(pool) == vacant.size - np.count_nonzero(vacant):
             return None
         rejected = pool & ~vacant[..., None] & (hold[..., None] != self._agents)
-        self.r[rejected] = t
+        self.passed |= rejected
         return rejected
 
 
 def _first_open(is_open, keys, blk, t, what):
-    """Each agent's first ``is_open`` firm under ``keys``; raises if one has none."""
+    """``decentral._best_open_firm`` for a block: each agent's first
+    ``is_open`` firm under ``keys``; raises if one has none."""
     nonempty = is_open.any(-1)
     if not nonempty.all():
         i, a = np.argwhere(~nonempty)[0]
@@ -269,9 +268,9 @@ def run_cia_block(config, market: Market, reps: Sequence[int]) -> Iterator[RepOu
             prev_ranks, ranks = ranks, np.argsort(blk.firm_est.lists(), axis=-1)  # rank rows
             moved |= (ranks != prev_ranks).reshape(R, -1).any(1)
         # Deferred acceptance is injective, so every firm's pool holds at
-        # most one applicant: firms never stamp a rejection clock and never
-        # abstain, and each agent is hired by its assigned firm. The firm
-        # clocks are skipped and no invariant event happens (V' holds
+        # most one applicant: firms never pass anyone over and never
+        # abstain, and each agent is hired by its assigned firm. The firms'
+        # passed sets are skipped and no invariant event happens (V' holds
         # exactly the m - n unassigned firms, and V = V' | changed).
         redo = np.flatnonzero(moved)
         if redo.size:
@@ -293,12 +292,15 @@ def run_drr_block(config, market: Market, reps: Sequence[int]) -> Iterator[RepOu
     """Replications ``reps`` of a Bernoulli ``drr`` config, run in lockstep.
 
     ``decentral.CoordinatedPolicy`` and ``firms.StrategicFirmPolicy`` as
-    masks: each agent targets the first firm of its candidate set under its
-    keys (the ``t_gs`` snapshot while updating, the live keys while
-    committing), and each firm with applicants offers to the first of them
-    under its keys, or abstains as ``StrategicFirmPolicy.decide`` does; the
-    firm clocks follow :meth:`_FirmPolicy.observe`. Snapshots, commits,
-    resets and phase-log rows are rare and handled per replication.
+    masks: each agent targets the first firm outside its closed mask under
+    its keys (the ``t_gs`` snapshot while updating, the live keys while
+    committing). The mask gains the firms that reject the agent and a reset
+    clears it; a rejection while committing leaves an agent unmatched and
+    so resets the phase, which keeps the mask frozen from the commit on.
+    Each firm with applicants offers to the first of them under its keys,
+    or abstains as ``StrategicFirmPolicy.decide`` does, and keeps its passed
+    set by :meth:`_FirmPolicy.observe`. Snapshots, commits, resets and
+    phase-log rows are rare and handled per replication.
     """
     blk = _Block(config, market, reps)
     R, n, m = blk.R, blk.n, blk.m
@@ -307,13 +309,11 @@ def run_drr_block(config, market: Market, reps: Sequence[int]) -> Iterator[RepOu
     live = blk.agent_est.keys  # record updates it in place
     firm_policy = _FirmPolicy(blk)
 
-    # agents: rejection clocks, keys frozen at t_gs, and what a commit fixes
-    r = np.zeros((R, n, m), dtype=np.int64)
+    # agents: firms closed in the phase, keys frozen at t_gs, and the commit
+    closed = np.zeros((R, n, m), dtype=bool)
     snapshot = np.zeros((R, n, m))
     committed = np.zeros((R, n), dtype=np.intp)
-    frozen = np.zeros((R, n, m), dtype=bool)
     rej_flag = np.zeros((R, n), dtype=bool)
-    t_gs = np.ones(R, dtype=np.int64)
     committing = np.zeros(R, dtype=bool)  # rho
     snaps = {1: list(range(R))}  # round -> replications taking their snapshot
     commits = {1 + length: list(range(R))}  # round -> replications committing
@@ -324,35 +324,30 @@ def run_drr_block(config, market: Market, reps: Sequence[int]) -> Iterator[RepOu
         due = snaps.pop(t, None)
         if due:
             snapshot[due] = live[due]
-        if committing.all():
-            cand, keys = frozen, live
-        else:
-            updating = ~committing[:, None, None]
-            cand = np.where(updating, r < t_gs[:, None, None], frozen)
-            keys = np.where(updating, snapshot, live)
-        choice = _first_open(cand, keys, blk, t, "an empty candidate set in coordinated phase")
+        keys = live if committing.all() else np.where(committing[:, None, None], live, snapshot)
+        choice = _first_open(~closed, keys, blk, t, EMPTY_CANDIDATES)
         # committing agents self-trigger ("rej" before "inc") and abstain
         trigger = committing[:, None] & (rej_flag | (choice != committed))
         for i in commits.pop(t, ()):
             committing[i] = True
             committed[i] = choice[i]
-            frozen[i] = cand[i]
             phase_logs[i][-1]["committed"] = choice[i].tolist()
 
         apply = ~trigger
         pool = apply[:, None, :] & (choice[:, None, :] == firms)  # (R, m, n)
         best, hired = firm_policy.decide(pool)  # one applicant each, so every offer is taken
         hold = np.where(hired, best, -1)
-        rejected = firm_policy.observe(t, pool, hold)
+        rejected = firm_policy.observe(pool, hold)
         held = hold.ravel()[blk.firm_rows + choice]  # only an applicant can be held
         matched = held == agents
         match = np.where(matched, choice, -1)
 
         if not matched.all():
-            # an applicant at a vacant firm raises rej_flag; one passed over takes r
+            # an applicant at a vacant firm raises rej_flag; one passed over
+            # closes the firm
             rej_flag |= apply & (held < 0)
             if rejected is not None:
-                r[rejected.transpose(0, 2, 1)] = t
+                closed |= rejected.transpose(0, 2, 1)
             # V' is the set of vacant firms, so |V'| > m - n iff an agent is
             # unmatched; resets come only once a phase has committed, so no
             # scheduled commit is pending
@@ -362,10 +357,9 @@ def run_drr_block(config, market: Market, reps: Sequence[int]) -> Iterator[RepOu
                 kinds = {"rej" if flag else "inc" for flag in rej_flag[i][trigger[i]]}
                 if vac[i]:
                     kinds.add("vac")
-                # committed and frozen are rewritten at the next commit before any read
+                # committed is rewritten at the next commit before any read
                 committing[i] = False
-                t_gs[i] = t + 1
-                r[i] = 0
+                closed[i] = False
                 rej_flag[i] = False
                 snaps.setdefault(t + 1, []).append(i)
                 commits.setdefault(t + 1 + length, []).append(i)
@@ -387,14 +381,14 @@ def run_eancdrr_block(config, market: Market, reps: Sequence[int]) -> Iterator[R
 
     ``decentral.ExtendedCoordinationFreePolicy`` and
     ``firms.StrategicFirmPolicy`` as masks: each agent targets the first firm
-    under its live keys that never rejected it or was reopened since
-    (``_best_open_firm``, which raises when there is none). In round 1 no
-    agent has an anchor yet, so each applies to its target alone, the
-    coordination-free rule. From round 2 every agent holds an anchor: one
-    whose target is not its anchor probes with probability lambda, applying
-    to the target and then the anchor, and otherwise applies to the anchor
-    alone. Firms decide by :meth:`_FirmPolicy.decide`, an agent with two
-    offers takes its first application's, and the feedback follows
+    under its live keys outside its closed mask (``_best_open_firm``, which
+    raises when there is none). In round 1 no agent has an anchor yet, so
+    each applies to its target alone, the coordination-free rule. From round
+    2 every agent holds an anchor: one whose target is not its anchor probes
+    with probability lambda, applying to the target and then the anchor, and
+    otherwise applies to the anchor alone. Firms decide by
+    :meth:`_FirmPolicy.decide`, an agent with two offers takes its first
+    application's, and the feedback follows
     ``decentral._apply_v_events_then_rejections``.
     """
     blk = _Block(config, market, reps)
@@ -404,13 +398,11 @@ def run_eancdrr_block(config, market: Market, reps: Sequence[int]) -> Iterator[R
     live = blk.agent_est.keys  # record updates it in place
     firm_policy = _FirmPolicy(blk)
 
-    # agents: rejection clocks and reopened firms
-    r = np.zeros((R, n, m), dtype=np.int64)
-    reopened = np.zeros((R, n, m), dtype=bool)
+    closed = np.zeros((R, n, m), dtype=bool)  # agents: firms closed to them
     prev_hold = np.full((R, m), -1)  # the agent each firm held last round, -1: none
 
     for t in range(1, config.horizon + 1):
-        target = _first_open((r == 0) | reopened, live, blk, t, "no open firm")
+        target = _first_open(~closed, live, blk, t, NO_OPEN_FIRM)
         if t == 1:  # no anchors yet: the target stands in, so no agent probes
             anchor, interviews = target, (target,)
         else:
@@ -438,12 +430,10 @@ def run_eancdrr_block(config, market: Market, reps: Sequence[int]) -> Iterator[R
         # feedback: V' is the vacant firms, V adds those whose hire changed;
         # V events reopen firms first, then this round's rejections close them
         changed = (hold < 0) | (hold != prev_hold)
-        reopened |= changed[:, None, :] & (r >= 1)
-        rejected = firm_policy.observe(t, pool, hold)
+        closed &= ~changed[:, None, :]
+        rejected = firm_policy.observe(pool, hold)
         if rejected is not None:
-            rejected = rejected.transpose(0, 2, 1)
-            r[rejected] = t
-            reopened[rejected] = False
+            closed |= rejected.transpose(0, 2, 1)
 
         blk.settle(t, interviews, match)
         # the firm held, else the anchor kept (round 1: the target applied to)

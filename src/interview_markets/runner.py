@@ -127,7 +127,7 @@ def run_market_replication(
         else EstimatorState(m, n)
     )
     policy = _market_policy(config, market, agent_est, firm_est, policy_rng)
-    firm_policy = StrategicFirmPolicy(n, m, config.firm_mode)
+    firm_policy = StrategicFirmPolicy(m, config.firm_mode)
     best, base_opt, base_pess = market_baselines(market)
     T, stride = config.horizon, config.stride
     recorder = RunRecorder(

@@ -186,7 +186,7 @@ def test_criterion_03_golden_examples():
     policy.states[1].closed.add(1)
     outcomes = []
     run_horizon(
-        market, agent_est, firm_est, policy, StrategicFirmPolicy(2, 2, "certain"),
+        market, agent_est, firm_est, policy, StrategicFirmPolicy(2, "certain"),
         6, random.Random(0), outcomes.append,
         start_round=2, initial_matching=Matching((1, None), 2),
     )
@@ -270,7 +270,7 @@ def test_criterion_07b_eancdrr_escapes_cycle():
         policy.states[0].anchor = 1
         policy.states[1].anchor = 1
         result = run_horizon(
-            market, agent_est, firm_est, policy, StrategicFirmPolicy(2, 2, "certain"),
+            market, agent_est, firm_est, policy, StrategicFirmPolicy(2, "certain"),
             10_000, random.Random(seed), None,
             start_round=2, initial_matching=Matching((1, None), 2), interview_budget=3,
         )

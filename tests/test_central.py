@@ -70,7 +70,7 @@ class TestAllocatorRuns:
             )
             run_horizon(
                 market, agent_est, firm_est, policy,
-                StrategicFirmPolicy(3, 3, "uncertain"), 2000, random.Random(seed), recorder,
+                StrategicFirmPolicy(3, "uncertain"), 2000, random.Random(seed), recorder,
             )
             assert recorder.events["collision_rounds"] == 0
 
@@ -81,7 +81,7 @@ class TestAllocatorRuns:
         policy = CentralAllocator(3, 3, agent_est, firm_est)
         result = run_horizon(
             market, agent_est, firm_est, policy,
-            StrategicFirmPolicy(3, 3, "certain"), 30, random.Random(1), None,
+            StrategicFirmPolicy(3, "certain"), 30, random.Random(1), None,
         )
         assert result.final_matching.agent_match == (0, 1, 2)
         assert result.converged_round is not None
@@ -128,7 +128,7 @@ class TestAllocatorRuns:
 
         run_horizon(
             market, agent_est, firm_est, policy,
-            StrategicFirmPolicy(3, 3, "uncertain"), 3000, random.Random(8), check,
+            StrategicFirmPolicy(3, "uncertain"), 3000, random.Random(8), check,
         )
         assert valid_rounds > 100
 
@@ -143,7 +143,7 @@ class TestAllocatorRuns:
         outcomes = []
         run_horizon(
             market, agent_est, firm_est, policy,
-            StrategicFirmPolicy(2, 2, "certain"), 8, random.Random(0), outcomes.append,
+            StrategicFirmPolicy(2, "certain"), 8, random.Random(0), outcomes.append,
         )
         doubled = [
             o.t for o in outcomes for a in range(2)

@@ -7,8 +7,9 @@ from hypothesis import strategies as hs
 from interview_markets.decentral import (
     CoordinatedPolicy,
     CoordinationFreePolicy,
+    EMPTY_CANDIDATES,
     ExtendedCoordinationFreePolicy,
-    drr_candidate_set,
+    _best_open_firm,
 )
 from interview_markets.engine import AgentFeedback, run_horizon
 from interview_markets.errors import ParameterError, ProtocolError
@@ -40,14 +41,22 @@ def feedback(vprime, v, applications, matches):
 
 
 class TestDrrCandidateSet:
+    """``_best_open_firm`` as ``drr`` uses it: the first firm of the list
+    outside the firms that rejected the agent in the current phase."""
+
     def test_excludes_in_phase_rejections(self):
-        assert drr_candidate_set([12, 3], 10, 13, 0) == (1,)
+        assert _best_open_firm((0, 1), {0}, 13, 0, EMPTY_CANDIDATES) == 1
 
     def test_fresh_phase_includes_all(self):
-        assert drr_candidate_set([0, 0, 0], 5, 5, 0) == (0, 1, 2)
+        assert _best_open_firm((2, 0, 1), set(), 5, 0, EMPTY_CANDIDATES) == 2
 
     def test_single_in_phase_rejection(self):
-        assert drr_candidate_set([6, 0, 0], 5, 7, 0) == (1, 2)
+        assert _best_open_firm((0, 2, 1), {0}, 7, 0, EMPTY_CANDIDATES) == 2
+
+    def test_no_candidate_is_a_protocol_error(self):
+        message = "round 7: agent 3 has an empty candidate set in coordinated phase"
+        with pytest.raises(ProtocolError, match=message):
+            _best_open_firm((1, 0), {0, 1}, 7, 3, EMPTY_CANDIDATES)
 
 
 def coordination_free_policies(n, m, est):
@@ -120,7 +129,7 @@ class TestCoordinatedPhases:
             else EstimatorState(m, n)
         )
         policy = CoordinatedPolicy(n, m, agent_est)
-        firm_policy = StrategicFirmPolicy(n, m, firm_mode)
+        firm_policy = StrategicFirmPolicy(m, firm_mode)
         best, base_opt, base_pess = market_baselines(market)
         recorder = RunRecorder(
             market, base_opt, base_pess, agent_est, best, (), certain_firms=firm_mode == "certain",
@@ -255,7 +264,7 @@ class TestAncdrrCycle:
         policy = self.seeded_cycle_policy(agent_est)
         outcomes = []
         run_horizon(
-            market, agent_est, firm_est, policy, StrategicFirmPolicy(2, 2, "certain"),
+            market, agent_est, firm_est, policy, StrategicFirmPolicy(2, "certain"),
             8, random.Random(0), outcomes.append,
             start_round=2, initial_matching=Matching((1, None), 2),
         )
@@ -306,7 +315,7 @@ class TestAncdrrCycle:
                         rejected_at[(a, f)] = t
 
         run_horizon(
-            market, agent_est, firm_est, policy, StrategicFirmPolicy(3, 3, "uncertain"),
+            market, agent_est, firm_est, policy, StrategicFirmPolicy(3, "uncertain"),
             1500, random.Random(3), check,
         )
         assert violations == []
@@ -374,7 +383,7 @@ class TestExtended:
         policy.states[1].closed.add(1)
         outcomes = []
         run_horizon(
-            market, agent_est, firm_est, policy, StrategicFirmPolicy(2, 2, "certain"),
+            market, agent_est, firm_est, policy, StrategicFirmPolicy(2, "certain"),
             1, random.Random(0), outcomes.append,
             start_round=2, initial_matching=Matching((1, 0), 2), interview_budget=3,
         )
@@ -396,7 +405,7 @@ class TestExtended:
             policy.states[0].anchor = 1
             policy.states[1].anchor = 1
             result = run_horizon(
-                market, agent_est, firm_est, policy, StrategicFirmPolicy(2, 2, "certain"),
+                market, agent_est, firm_est, policy, StrategicFirmPolicy(2, "certain"),
                 3000, random.Random(seed), None,
                 start_round=2, initial_matching=Matching((1, None), 2), interview_budget=3,
             )

@@ -30,10 +30,10 @@ class FixedPlanPolicy:
 
 
 class AlwaysRejectFirms:
-    def decide(self, t, firm, pool, order):
+    def decide(self, firm, pool, order):
         return 0
 
-    def observe(self, t, firm, pool, hired):
+    def observe(self, firm, pool, hired):
         pass
 
 
@@ -60,7 +60,7 @@ class TestInterviewStage:
         market = two_by_three()
         agent_est, firm_est = fresh(market)
         policy = FixedPlanPolicy([((0, 1), (0,)), ((1, 2), (1,))])
-        run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(2, 3, "certain"), 1, random.Random(0))
+        run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(3, "certain"), 1, random.Random(0))
         assert agent_est.counts == [[1, 1, 0], [0, 1, 1]]
         assert firm_est.counts == [[1, 0], [1, 1], [0, 1]]
 
@@ -68,21 +68,21 @@ class TestInterviewStage:
         market = two_by_three()
         agent_est, firm_est = fresh(market, firm_oracle=True)
         policy = FixedPlanPolicy([((0, 1), (0,)), ((1, 2), (1,))])
-        run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(2, 3, "certain"), 1, random.Random(0))
+        run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(3, "certain"), 1, random.Random(0))
         assert firm_est.pref_list(0) == (0, 1)
 
     def test_shared_firm_gets_two_samples(self):
         market = two_by_three()
         agent_est, firm_est = fresh(market)
         policy = FixedPlanPolicy([((0, 1), (0,)), ((0, 2), (0,))])
-        run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(2, 3, "certain"), 1, random.Random(0))
+        run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(3, "certain"), 1, random.Random(0))
         assert firm_est.counts[0] == [1, 1]
 
     def test_duplicate_listing_draws_twice(self):
         market = two_by_three()
         agent_est, firm_est = fresh(market)
         policy = FixedPlanPolicy([((0, 0), (0,)), ((1, 2), (1,))])
-        run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(2, 3, "certain"), 1, random.Random(0))
+        run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(3, "certain"), 1, random.Random(0))
         assert agent_est.counts[0][0] == 2
 
 
@@ -92,7 +92,7 @@ class TestApplicationStage:
         agent_est, firm_est = fresh(market, firm_oracle=True)
         policy = FixedPlanPolicy([((0, 1), (0,)), ((1, 2), (1,))])
         outcomes = []
-        run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(2, 3, "certain"), 1, random.Random(0), outcomes.append)
+        run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(3, "certain"), 1, random.Random(0), outcomes.append)
         assert outcomes[0].matching.agent_match == (0, 1)
 
     def test_firm_prefers_by_estimated_list(self):
@@ -101,7 +101,7 @@ class TestApplicationStage:
         # both apply to firm 0, whose true list prefers agent 0
         policy = FixedPlanPolicy([((0, 1), (0,)), ((0, 2), (0,))])
         outcomes = []
-        run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(2, 3, "certain"), 1, random.Random(0), outcomes.append)
+        run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(3, "certain"), 1, random.Random(0), outcomes.append)
         assert outcomes[0].matching.agent_match == (0, None)
 
     def test_firm_hires_on_round_start_estimates(self):
@@ -117,7 +117,7 @@ class TestApplicationStage:
         firm_est.record(0, 0, 0.6).record(0, 1, 0.5)
         policy = FixedPlanPolicy([((0, 1), (0,)), ((0, 1), (0,))])
         outcomes = []
-        run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(2, 2, "uncertain"), 1, random.Random(0), outcomes.append)
+        run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(2, "uncertain"), 1, random.Random(0), outcomes.append)
         assert firm_est.pref_list(0) == (1, 0)  # the draws did flip it
         assert outcomes[0].gamma[0] == 1
         assert outcomes[0].matching.agent_match == (0, None)
@@ -137,7 +137,7 @@ class TestApplicationStage:
         firm_est = CountingEstimator(market.m, market.n)
         # firm 2 is interviewed but never applied to; firm 0 gets both agents
         policy = FixedPlanPolicy([((0, 2), (0,)), ((0, 2), (0,))])
-        firms = StrategicFirmPolicy(2, 3, "uncertain")
+        firms = StrategicFirmPolicy(3, "uncertain")
         outcomes = []
         run_horizon(market, agent_est, firm_est, policy, firms, 3, random.Random(0), outcomes.append)
         assert firm_est.ranked == [0, 0, 0]
@@ -162,7 +162,7 @@ class TestRewards:
         agent_est, firm_est = fresh(market, firm_oracle=True)
         policy = FixedPlanPolicy([((0, 1), (0,)), ((0, 2), (0,))])
         outcomes = []
-        run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(2, 3, "certain"), 1, random.Random(0), outcomes.append)
+        run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(3, "certain"), 1, random.Random(0), outcomes.append)
         assert outcomes[0].rewards[1] == 0.0
 
     def test_point_mass_reward(self):
@@ -170,7 +170,7 @@ class TestRewards:
         agent_est, firm_est = fresh(market, firm_oracle=True)
         policy = FixedPlanPolicy([((0, 1), (0,)), ((1, 2), (1,))])
         outcomes = []
-        run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(2, 3, "certain"), 1, random.Random(0), outcomes.append)
+        run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(3, "certain"), 1, random.Random(0), outcomes.append)
         assert outcomes[0].rewards == (0.9, 0.8)
 
     def test_bernoulli_certain_one(self):
@@ -178,7 +178,7 @@ class TestRewards:
         agent_est, firm_est = fresh(market, firm_oracle=True)
         policy = FixedPlanPolicy([((0, 1), (0,))])
         outcomes = []
-        run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(1, 2, "certain"), 5, random.Random(0), outcomes.append)
+        run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(2, "certain"), 5, random.Random(0), outcomes.append)
         assert all(o.rewards[0] == 1.0 for o in outcomes)
 
 
@@ -201,7 +201,7 @@ class TestFeedback:
         agent_est, firm_est = fresh(market, firm_oracle=True)
         policy = FixedPlanPolicy([((0, 1), (0,)), ((1, 2), (1,))])
         outcomes = []
-        run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(2, 3, "certain"), 1, random.Random(0), outcomes.append)
+        run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(3, "certain"), 1, random.Random(0), outcomes.append)
         # both freshly filled firms changed hands relative to the empty matching
         assert outcomes[0].v == frozenset({0, 1, 2})
         assert outcomes[0].vprime == frozenset({2})
@@ -212,7 +212,7 @@ class TestFeedback:
         policy = FixedPlanPolicy([((0, 1), (0,)), ((1, 2), (1,))])
         outcomes = []
         run_horizon(
-            market, agent_est, firm_est, policy, StrategicFirmPolicy(2, 3, "certain"),
+            market, agent_est, firm_est, policy, StrategicFirmPolicy(3, "certain"),
             1, random.Random(0), outcomes.append,
             initial_matching=Matching((0, 1), 3),
         )
@@ -224,33 +224,33 @@ class TestProtocol:
         market = two_by_three()
         agent_est, firm_est = fresh(market)
         with pytest.raises(ParameterError):
-            run_horizon(market, agent_est, firm_est, FixedPlanPolicy([]), StrategicFirmPolicy(2, 3, "certain"), 0, random.Random(0))
+            run_horizon(market, agent_est, firm_est, FixedPlanPolicy([]), StrategicFirmPolicy(3, "certain"), 0, random.Random(0))
 
     def test_budget_violation_names_round(self):
         market = two_by_three()
         agent_est, firm_est = fresh(market)
         policy = FixedPlanPolicy([((0, 1, 2), (0,)), ((1, 2), (1,))])
         with pytest.raises(ProtocolError, match="round 1"):
-            run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(2, 3, "certain"), 1, random.Random(0))
+            run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(3, "certain"), 1, random.Random(0))
 
     def test_application_outside_interviews_rejected(self):
         market = two_by_three()
         agent_est, firm_est = fresh(market)
         policy = FixedPlanPolicy([((0, 1), (2,)), ((1, 2), (1,))])
         with pytest.raises(ProtocolError):
-            run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(2, 3, "certain"), 1, random.Random(0))
+            run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(3, "certain"), 1, random.Random(0))
 
     def test_budget_three_allows_triples(self):
         market = two_by_three()
         agent_est, firm_est = fresh(market)
         policy = FixedPlanPolicy([((0, 1, 2), (0,)), ((1, 2), (1,))])
-        run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(2, 3, "certain"), 1, random.Random(0), interview_budget=3)
+        run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(3, "certain"), 1, random.Random(0), interview_budget=3)
 
     def test_cia_on_introstrategic_executes(self):
         market = named_example("introstrategic")
         agent_est, firm_est = fresh(market, firm_oracle=True)
         policy = CentralAllocator(2, 2, agent_est, firm_est)
-        result = run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(2, 2, "certain"), 1, random.Random(0))
+        result = run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(2, "certain"), 1, random.Random(0))
         assert result.rounds == 1
 
     def test_same_seed_identical_streams(self):
@@ -260,7 +260,7 @@ class TestProtocol:
             agent_est, firm_est = fresh(market)
             policy = CentralAllocator(3, 3, agent_est, firm_est)
             outcomes = []
-            run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(3, 3, "uncertain"), 200, random.Random(seed), outcomes.append)
+            run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(3, "uncertain"), 200, random.Random(seed), outcomes.append)
             return [
                 (o.t, o.interviews, o.applications, o.gamma, o.matching.agent_match, o.rewards, o.vprime, o.v)
                 for o in outcomes
@@ -295,7 +295,7 @@ class TestRewardFactorization:
                     checked += 1
 
         run_horizon(
-            market, agent_est, firm_est, policy, StrategicFirmPolicy(3, 3, "uncertain"),
+            market, agent_est, firm_est, policy, StrategicFirmPolicy(3, "uncertain"),
             800, random.Random(2), check,
         )
         assert checked > 0
@@ -306,7 +306,7 @@ class TestAnonymity:
         market = two_by_three()
         agent_est, firm_est = fresh(market, firm_oracle=True)
         policy = FixedPlanPolicy([((0, 1), (0,)), ((0, 2), (0,))])
-        run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(2, 3, "certain"), 1, random.Random(0))
+        run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(3, "certain"), 1, random.Random(0))
         feedback = policy.feedbacks[0]
         fields = set(feedback.__class__.__slots__)
         assert fields == {"vprime", "v", "own_applications", "own_match"}

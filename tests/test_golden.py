@@ -4,9 +4,9 @@ Each case runs one small Bernoulli config through ``run_experiment`` and
 pins the sha256 of its series and phase CSVs and its summary, taken in
 file-name order. One more case, with ``log_rounds``, pins the per-round
 ``rounds_rep*.csv`` and ``firms_rep*.csv`` logs as well. Any change to the
-round protocol, the RNG draw order, the estimators, the firm clocks, the
-regret accounting, the invariant counters or the CSV rendering moves a
-digest. Two logged cases run truncated-Gaussian markets, and one
+round protocol, the RNG draw order, the estimators, the firms' passed-over
+sets, the regret accounting, the invariant counters or the CSV rendering
+moves a digest. Two logged cases run truncated-Gaussian markets, and one
 ``allprobe`` case truncated-Gaussian arms; their draws go through libm's
 ``log``, ``sqrt`` and ``cos`` in ``random.gauss``, so their digests hold on
 platforms whose libm rounds these as glibc does.

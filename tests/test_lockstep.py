@@ -4,6 +4,7 @@ replication by replication, and the scalar ``ancdrr`` on the same markets."""
 import json
 import tracemalloc
 from dataclasses import asdict, replace
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -116,9 +117,15 @@ def test_blocks_hand_settle_only_firms(algorithm, market, firm_mode, horizon, ba
     assert rounds == list(range(1, horizon + 1))
 
 
+def as_sets(mask):
+    """An ``(R, owners, peers)`` mask as each owner's set of peers."""
+    return [[set(np.flatnonzero(row).tolist()) for row in owners] for owners in mask]
+
+
 # A block's firm feedback is the scalar one, firm by firm: over a few rounds
-# of pools, each firm holding one of its applicants or no one, r and c match
-# in every replication, and observe returns this round's rejections.
+# of pools, each firm holding one of its applicants or no one, the passed
+# mask holds the scalar passed sets in every replication, and observe
+# returns this round's passed-over applicants.
 @settings(max_examples=200, deadline=None)
 @given(
     data=st.data(),
@@ -131,25 +138,25 @@ def test_firm_policy_observe_equals_scalar_observe(data, market, firm_mode, repl
     R, n, m = replications, market.n, market.m
     blk = lockstep._Block(block_config(firm_mode=firm_mode), market, range(R))
     block = lockstep._FirmPolicy(blk)
-    scalar = [StrategicFirmPolicy(n, m, firm_mode) for _ in range(R)]
+    scalar = [StrategicFirmPolicy(m, firm_mode) for _ in range(R)]
     for t in range(1, rounds + 1):
         cells = data.draw(st.lists(st.booleans(), min_size=R * m * n, max_size=R * m * n))
         pool = np.array(cells).reshape(R, m, n)
         applicants = [[np.flatnonzero(row).tolist() for row in firms] for firms in pool]
         hold = np.array([[data.draw(st.sampled_from([-1, *row])) for row in firms]
                          for firms in applicants])
-        rejected = block.observe(t, pool, hold)
+        rejected = block.observe(pool, hold)
         for i, policy in enumerate(scalar):
             for f in range(m):
                 hired = int(hold[i, f])
-                policy.observe(t, f, applicants[i][f], hired if hired >= 0 else None)
-        assert block.r.tolist() == [policy.r for policy in scalar]
-        assert block.c.tolist() == [policy.c for policy in scalar]
-        expected = np.array([policy.r for policy in scalar]) == t  # this round's stamps
+                policy.observe(f, applicants[i][f], hired if hired >= 0 else None)
+        assert as_sets(block.passed) == [policy.passed for policy in scalar]
+        passed_over = [[{a for a in row if hold[i, f] not in (-1, a)}
+                        for f, row in enumerate(firms)] for i, firms in enumerate(applicants)]
         if rejected is None:
-            assert not expected.any()
+            assert not any(chain.from_iterable(passed_over))
         else:
-            assert (rejected == expected).all()
+            assert as_sets(rejected) == passed_over
 
 
 # ancdrr has no block to equal, so this checks only that its agents always

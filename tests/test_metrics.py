@@ -100,7 +100,7 @@ def converged_round(script):
     agent_est, firm_est = OracleEstimator(market.agent_means), OracleEstimator(market.firm_means)
     result = run_horizon(
         market, agent_est, firm_est, ScriptedPolicy(script),
-        StrategicFirmPolicy(2, 2, "certain"), len(script), random.Random(0),
+        StrategicFirmPolicy(2, "certain"), len(script), random.Random(0),
     )
     assert result.final_matching.agent_match == script[-1]
     return result.converged_round
