@@ -42,11 +42,14 @@ class AgentFeedback:
 
 @dataclass(slots=True)
 class RoundOutcome:
+    """One round: per agent its interviews, applications, firm (``match``,
+    None if unmatched) and reward; per firm ``gamma``; the vacancy sets."""
+
     t: int
     interviews: tuple[tuple[int, ...], ...]
     applications: tuple[tuple[int, ...], ...]
     gamma: tuple[int, ...]
-    matching: Matching
+    match: tuple[Optional[int], ...]
     rewards: tuple[float, ...]
     vprime: frozenset[int]
     v: frozenset[int]
@@ -59,7 +62,10 @@ class AgentSidePolicy(Protocol):
 
 
 class FirmSidePolicy(Protocol):
-    def decide(self, firm: int, pool: Sequence[int], order: Sequence[int]) -> int: ...
+    """``decide`` gets a firm's best applicant under ``order`` and returns
+    gamma (0: stay vacant); ``observe`` gets each firm's pool and hire."""
+
+    def decide(self, firm: int, best: int, order: Sequence[int]) -> int: ...
 
     def observe(self, firm: int, pool: Sequence[int], hired: Optional[int]) -> None: ...
 
@@ -67,7 +73,7 @@ class FirmSidePolicy(Protocol):
 @dataclass(slots=True)
 class SimResult:
     rounds: int
-    final_matching: Matching
+    final_matching: Matching  # the last round's match, validated once
     converged_round: Optional[int]
 
 
@@ -101,6 +107,7 @@ def run_horizon(
     if T < 1:
         raise ParameterError(f"horizon must be >= 1, got {T}")
     n, m = market.n, market.m
+    firm_ids = frozenset(range(m))  # the firms a plan may interview
     agent_means = market.agent_means
     firm_means = market.firm_means
     model = market.reward_model
@@ -114,7 +121,6 @@ def run_horizon(
     # convergence tracking: first round of the current all-matched constant streak
     streak_start: Optional[int] = None
     last_match: Optional[tuple[Optional[int], ...]] = None
-    matching = Matching((None,) * n, m)
 
     bernoulli = model.kind == "bernoulli"
     rand = rng.random
@@ -134,6 +140,9 @@ def run_horizon(
                     f" [2, {interview_budget}]",
                     t,
                 )
+            if not firm_ids.issuperset(draws):
+                f = next(f for f in draws if f not in firm_ids)
+                raise ProtocolError(f"agent {a} interviews firm {f}, outside 0..{m - 1}", t)
             if len(plan.applications) > 2:
                 raise ProtocolError(f"agent {a} applies to more than two firms", t)
             for f in plan.applications:
@@ -150,9 +159,10 @@ def run_horizon(
             if not pool:
                 continue
             order = firm_est.pref_list(f)
-            gamma[f] = decide(f, pool, order)
+            best = pool[0] if len(pool) == 1 else first_in(order, pool)
+            gamma[f] = decide(f, best, order)
             if gamma[f]:
-                offers[f] = pool[0] if len(pool) == 1 else first_in(order, pool)
+                offers[f] = best
 
         # interview stage: one draw per side per listed firm
         for a, plan in enumerate(plans):
@@ -194,10 +204,9 @@ def run_horizon(
 
         for f, pool in enumerate(pools):
             firm_observe(f, pool, firm_hold[f])
-        matching = Matching(tuple(agent_match), m)
+        match = tuple(agent_match)
         apps = tuple([plan.applications for plan in plans])
-        feedback = AgentFeedback(vprime, v, apps, matching.agent_match)
-        agent_policy.observe(t, feedback)
+        agent_policy.observe(t, AgentFeedback(vprime, v, apps, match))
 
         if recorder is not None:
             recorder(
@@ -206,22 +215,16 @@ def run_horizon(
                     tuple([plan.interviews for plan in plans]),
                     apps,
                     tuple(gamma),
-                    matching,
+                    match,
                     tuple(rewards),
                     vprime,
                     v,
                 )
             )
 
-        if matching.agent_match == last_match:
-            pass  # streak continues
-        elif matching.is_agent_perfect():
-            streak_start = t
-            last_match = matching.agent_match
-        else:
-            streak_start = None
-            last_match = matching.agent_match
+        if match != last_match:  # else the streak, or its absence, continues
+            streak_start = t if None not in match else None
+            last_match = match
         prev_hold = firm_hold
 
-    converged = streak_start if (last_match is not None and matching.is_agent_perfect()) else None
-    return SimResult(T, matching, converged)
+    return SimResult(T, Matching(match, m), streak_start)

@@ -3,8 +3,9 @@ coordinated learner (``drr``) and the randomized coordination-free learner
 (``eancdrr``) on numpy arrays.
 
 A block of R replications advances round by round together. Estimates live
-in ``(R, n, m)`` agent-side and ``(R, m, n)`` firm-side sum and count arrays,
-with each pair's ranking key, and regret accumulates over the whole block.
+in ``(R, n, m)`` agent-side and, for uncertain firms, ``(R, m, n)`` firm-side
+sum and count arrays, with each pair's ranking key, and regret accumulates
+over the whole block.
 Every replication's :class:`RepOutput` equals the one
 ``runner.run_market_replication`` returns for it, because:
 
@@ -102,7 +103,7 @@ class _Block:
         self._f_means = np.tile(self.firm_means.ravel(), R)
         self._matched_means = np.hstack([self.agent_means, np.zeros((n, 1))])  # firm -1: 0
         self.agent_est = _Estimates((R, n, m))
-        self.firm_est = _Estimates((R, m, n))
+        self.firm_est = _Estimates((R, m, n)) if self.uncertain else None  # certain: true means
         self._rr = [round_robin_firm(self.agents, t, m) for t in range(m)]  # by t mod m
 
         best, opt, pess = market_baselines(market)
@@ -187,7 +188,8 @@ class _Block:
 
 class _FirmPolicy:
     """``firms.StrategicFirmPolicy`` for a block: every firm's passed-over
-    set as one ``(R, m, n)`` mask ``passed``, kept by :meth:`observe`."""
+    set as one ``(R, m, n)`` mask ``passed``, kept by :meth:`observe`; in a
+    certain block it stays empty."""
 
     def __init__(self, blk: _Block):
         R, n, m = blk.R, blk.n, blk.m
@@ -206,12 +208,11 @@ class _FirmPolicy:
         """Each firm's best applicant under its keys, and whether it offers.
 
         ``pool`` is ``(R, m, n)``. A firm takes the first agent of its order
-        that applied or, if it is uncertain, that it passed over since its
-        last vacancy; it abstains when that agent did not apply, and a firm
-        without applicants does not offer."""
+        that applied or that it passed over since its last vacancy; it
+        abstains when that agent did not apply, and a firm without
+        applicants does not offer."""
         offering = pool.any(-1)
-        heads = pool | self.passed if self.uncertain else pool
-        best = np.where(heads, self.keys, np.inf).argmin(-1)  # (R, m)
+        best = np.where(pool | self.passed, self.keys, np.inf).argmin(-1)  # (R, m)
         abstain = offering & ~pool.ravel()[self._pool_rows + best]
         if abstain.any():
             # RunRecorder counts a firm's abstention as consecutive when it
@@ -225,15 +226,16 @@ class _FirmPolicy:
 
     def observe(self, pool: np.ndarray, hold: np.ndarray) -> np.ndarray | None:
         """``StrategicFirmPolicy.observe`` for every firm, given its hire
-        ``hold`` from its ``(R, m, n)`` ``pool`` (-1: none): clears
-        ``passed`` where vacant, adds each applicant passed over, and returns
+        ``hold`` from its ``(R, m, n)`` ``pool`` (-1: none): clears ``passed``
+        where vacant, adds each applicant passed over if uncertain, and returns
         those rejections as a mask, or None when each application was a hire."""
         vacant = hold < 0
         self.passed[vacant] = False
         if np.count_nonzero(pool) == vacant.size - np.count_nonzero(vacant):
             return None
         rejected = pool & ~vacant[..., None] & (hold[..., None] != self._agents)
-        self.passed |= rejected
+        if self.uncertain:
+            self.passed |= rejected
         return rejected
 
 

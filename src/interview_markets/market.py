@@ -120,9 +120,6 @@ class Matching:
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((a, f) for a, f in enumerate(self.agent_match) if f is not None)
 
-    def is_agent_perfect(self) -> bool:
-        return all(f is not None for f in self.agent_match)
-
 
 @dataclass(frozen=True)
 class StableSet:

@@ -140,7 +140,7 @@ class RunRecorder:
         co, cp = self._cum_opt, self._cum_pess
         cpo, cpp = self._cum_pseudo_opt, self._cum_pseudo_pess
         rows = zip(self._base_opt, self._base_pess, outcome.rewards,
-                   outcome.matching.agent_match, market.agent_means)
+                   outcome.match, market.agent_means)
         for a, (bo, bp, x, f, row) in enumerate(rows):
             co[a] += bo - x
             cp[a] += bp - x
@@ -159,7 +159,7 @@ class RunRecorder:
         if t in self._log_rounds:
             at, cells = f"{t},", self._agent_cells
             agents = zip(range(market.n), outcome.interviews, outcome.applications,
-                         outcome.matching.agent_match, outcome.rewards)
+                         outcome.match, outcome.rewards)
             self._write_rounds("".join([
                 f"{at}{cells(a, ivs, apps, f)}{x!s}\n" for a, ivs, apps, f, x in agents
             ]))

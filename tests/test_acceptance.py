@@ -191,7 +191,7 @@ def test_criterion_03_golden_examples():
         start_round=2, initial_matching=Matching((1, None), 2),
     )
     apps = [o.applications for o in outcomes]
-    matches = [o.matching.agent_match for o in outcomes]
+    matches = [o.match for o in outcomes]
     assert apps[2] == apps[0] and matches[2] == matches[0]  # period 2, within 4 rounds
     assert apps[3] == apps[1] and matches[3] == matches[1]
     assert apps[0] != apps[1]

@@ -122,7 +122,7 @@ class TestAllocatorRuns:
                 return
             valid_rounds += 1
             for a in range(3):
-                f = outcome.matching.agent_match[a]
+                f = outcome.match[a]
                 assert f is not None
                 assert market.agent_means[a][f] >= market.agent_means[a][best[a]]
 

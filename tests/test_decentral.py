@@ -269,7 +269,7 @@ class TestAncdrrCycle:
             start_round=2, initial_matching=Matching((1, None), 2),
         )
         apps = [o.applications for o in outcomes]
-        matches = [o.matching.agent_match for o in outcomes]
+        matches = [o.match for o in outcomes]
         # both agents chase the same firm, alternating, forever
         assert apps[0] == ((0,), (0,)) and apps[1] == ((1,), (1,))
         for k in range(len(outcomes) - 2):
@@ -309,7 +309,7 @@ class TestAncdrrCycle:
             v_history.append(outcome.v)
             for a in range(3):
                 apps = outcome.applications[a]
-                matched = outcome.matching.agent_match[a]
+                matched = outcome.match[a]
                 for f in apps:
                     if matched != f and f not in outcome.vprime:
                         rejected_at[(a, f)] = t
@@ -389,7 +389,7 @@ class TestExtended:
         )
         out = outcomes[0]
         assert out.applications[0] == (0, 1)
-        assert out.matching.agent_match == (1, 0)  # probe failed, anchor held
+        assert out.match == (1, 0)  # probe failed, anchor held
         assert 1 not in out.v and 1 not in out.vprime
         assert out.vprime == frozenset()
 

@@ -30,7 +30,7 @@ class FixedPlanPolicy:
 
 
 class AlwaysRejectFirms:
-    def decide(self, firm, pool, order):
+    def decide(self, firm, best, order):
         return 0
 
     def observe(self, firm, pool, hired):
@@ -93,7 +93,7 @@ class TestApplicationStage:
         policy = FixedPlanPolicy([((0, 1), (0,)), ((1, 2), (1,))])
         outcomes = []
         run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(3, "certain"), 1, random.Random(0), outcomes.append)
-        assert outcomes[0].matching.agent_match == (0, 1)
+        assert outcomes[0].match == (0, 1)
 
     def test_firm_prefers_by_estimated_list(self):
         market = two_by_three()
@@ -102,7 +102,7 @@ class TestApplicationStage:
         policy = FixedPlanPolicy([((0, 1), (0,)), ((0, 2), (0,))])
         outcomes = []
         run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(3, "certain"), 1, random.Random(0), outcomes.append)
-        assert outcomes[0].matching.agent_match == (0, None)
+        assert outcomes[0].match == (0, None)
 
     def test_firm_hires_on_round_start_estimates(self):
         # firm 0 starts the round preferring agent 0 (0.6 over 0.5); this
@@ -120,7 +120,7 @@ class TestApplicationStage:
         run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(2, "uncertain"), 1, random.Random(0), outcomes.append)
         assert firm_est.pref_list(0) == (1, 0)  # the draws did flip it
         assert outcomes[0].gamma[0] == 1
-        assert outcomes[0].matching.agent_match == (0, None)
+        assert outcomes[0].match == (0, None)
 
     def test_only_firms_with_applicants_are_ranked(self):
         class CountingEstimator(EstimatorState):
@@ -142,7 +142,7 @@ class TestApplicationStage:
         run_horizon(market, agent_est, firm_est, policy, firms, 3, random.Random(0), outcomes.append)
         assert firm_est.ranked == [0, 0, 0]
         assert [o.gamma for o in outcomes] == [(1, 1, 1)] * 3
-        assert outcomes[-1].matching.agent_match == (0, None)
+        assert outcomes[-1].match == (0, None)
 
     def test_rejecting_firm_leaves_everyone_out(self):
         market = two_by_three()
@@ -151,7 +151,7 @@ class TestApplicationStage:
         outcomes = []
         run_horizon(market, agent_est, firm_est, policy, AlwaysRejectFirms(), 1, random.Random(0), outcomes.append)
         out = outcomes[0]
-        assert out.matching.agent_match == (None, None)
+        assert out.match == (None, None)
         assert out.gamma[0] == 0
         assert out.vprime == frozenset({0, 1, 2})
 
@@ -233,6 +233,16 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="round 1"):
             run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(3, "certain"), 1, random.Random(0))
 
+    @pytest.mark.parametrize("firm", [-1, 3])
+    def test_interview_outside_the_firms_rejected_before_any_record(self, firm):
+        market = two_by_three()
+        agent_est, firm_est = fresh(market)
+        policy = FixedPlanPolicy([((0, 1), (0,)), ((1, firm), (1,))])
+        with pytest.raises(ProtocolError, match=f"round 3: agent 1 interviews firm {firm}"):
+            run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(3, "certain"),
+                        1, random.Random(0), start_round=3)
+        assert agent_est.counts == [[0] * 3] * 2 and firm_est.counts == [[0] * 2] * 3
+
     def test_application_outside_interviews_rejected(self):
         market = two_by_three()
         agent_est, firm_est = fresh(market)
@@ -262,7 +272,7 @@ class TestProtocol:
             outcomes = []
             run_horizon(market, agent_est, firm_est, policy, StrategicFirmPolicy(3, "uncertain"), 200, random.Random(seed), outcomes.append)
             return [
-                (o.t, o.interviews, o.applications, o.gamma, o.matching.agent_match, o.rewards, o.vprime, o.v)
+                (o.t, o.interviews, o.applications, o.gamma, o.match, o.rewards, o.vprime, o.v)
                 for o in outcomes
             ]
 
@@ -285,7 +295,7 @@ class TestRewardFactorization:
         def check(outcome):
             nonlocal checked
             for a in range(3):
-                matched = outcome.matching.agent_match[a]
+                matched = outcome.match[a]
                 reward = outcome.rewards[a]
                 if matched is None:
                     assert reward == 0.0

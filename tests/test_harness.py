@@ -33,7 +33,6 @@ from interview_markets.estimation import EstimatorState
 from interview_markets.market import (
     MAX_GENERATED_PAIRS,
     Market,
-    Matching,
     RewardModel,
     enumerate_stable_matchings,
     gale_shapley,
@@ -770,7 +769,7 @@ class TestCsvRendering:
                                retain_rounds=[t], log_rounds=[t], logs=logs)
         for _ in range(2):  # the second round reuses the first's cells
             recorder(RoundOutcome(t, ((0, 1), (1, 0, 1)), ((0,), ()), (1, 0),
-                                  Matching((0, None), 2), rewards, frozenset({1}), frozenset({1})))
+                                  (0, None), rewards, frozenset({1}), frozenset({1})))
         agents = self.joined((t, 1, "1;2", "1", 1, rewards[0])) + self.joined(
             (t, 2, "2;1;2", "", "", rewards[1]))
         firms = self.joined((t, 1, 1, 0)) + self.joined((t, 2, 0, 1))
@@ -818,8 +817,7 @@ class TestCsvRendering:
                                retain_rounds=(), log_rounds=log_rounds, logs=logs)
         agents, firms = [], []
         for t, (ivs, apps, match, rewards, gamma, vacant) in zip(log_rounds, rounds):
-            recorder(RoundOutcome(t, ivs, apps, gamma, Matching(match, 3), rewards, vacant,
-                                  vacant))
+            recorder(RoundOutcome(t, ivs, apps, gamma, match, rewards, vacant, vacant))
             agents.append("".join(self.joined((
                 t, a + 1, ";".join(str(f + 1) for f in ivs[a]),
                 ";".join(str(f + 1) for f in apps[a]), "" if match[a] is None else match[a] + 1,

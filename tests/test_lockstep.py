@@ -124,8 +124,8 @@ def as_sets(mask):
 
 # A block's firm feedback is the scalar one, firm by firm: over a few rounds
 # of pools, each firm holding one of its applicants or no one, the passed
-# mask holds the scalar passed sets in every replication, and observe
-# returns this round's passed-over applicants.
+# mask holds the scalar passed sets in every replication (none for certain
+# firms), and observe returns this round's passed-over applicants.
 @settings(max_examples=200, deadline=None)
 @given(
     data=st.data(),
@@ -151,6 +151,8 @@ def test_firm_policy_observe_equals_scalar_observe(data, market, firm_mode, repl
                 hired = int(hold[i, f])
                 policy.observe(f, applicants[i][f], hired if hired >= 0 else None)
         assert as_sets(block.passed) == [policy.passed for policy in scalar]
+        if firm_mode == "certain":
+            assert not block.passed.any()
         passed_over = [[{a for a in row if hold[i, f] not in (-1, a)}
                         for f, row in enumerate(firms)] for i, firms in enumerate(applicants)]
         if rejected is None:

@@ -11,7 +11,6 @@ from interview_markets.estimation import EstimatorState, OracleEstimator
 from interview_markets.firms import StrategicFirmPolicy
 from interview_markets.market import (
     Market,
-    Matching,
     enumerate_stable_matchings,
     generate_alpha_reducible,
 )
@@ -29,8 +28,7 @@ def record_rewards(base_opt, base_pess, rewards, firm=0):
     vacant = frozenset({0, 1}) - {firm}
     for t, x in enumerate(rewards, 1):
         apps = ((0,),) if firm is not None else ((),)
-        recorder(RoundOutcome(t, ((0, 1),), apps, (1, 1), Matching((firm,), 2), (x,),
-                              vacant, vacant))
+        recorder(RoundOutcome(t, ((0, 1),), apps, (1, 1), (firm,), (x,), vacant, vacant))
     return recorder.stored_rows()
 
 
@@ -202,7 +200,7 @@ def round_outcomes(draw):
             applications,
             applications,
             tuple(draw(st.lists(st.sampled_from([0, 0, 1]), min_size=m, max_size=m))),
-            Matching(agent_match, m),
+            agent_match,
             tuple(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))),
             draw(subsets),
             draw(subsets),
