@@ -18,11 +18,12 @@ over median), the bound and one verdict:
 
 - ``better``: the change wins at least nine tenths of the pairs and the
   medians differ by more than the parent's interquartile range;
-- ``worse``: the change's median is worse than the parent's by more than the
-  bound, or the change loses nine tenths of the pairs by more than the
-  parent's interquartile range;
-- ``undecided``: neither, and the parent's spread is wider than the bound,
-  so the pairs cannot show the metric within it;
+- ``past bound``: the change's median is worse than the parent's by more
+  than the bound, the regression the benchmark refuses;
+- ``worse within bound``: the change loses nine tenths of the pairs and the
+  medians differ by more than the parent's interquartile range;
+- ``undecided``: none of these, and the parent's spread is wider than the
+  bound, so the pairs cannot show the metric within it;
 - ``within bound``: otherwise.
 
 The same rows are printed as a markdown table. ``--tier1`` also times each
@@ -82,8 +83,10 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
     decisive = 0.9 * len(parent)
     if wins >= decisive and -gap > iqr:
         verdict = "better"
-    elif gap > bound * abs(p["median"]) or (losses >= decisive and gap > iqr):
-        verdict = "worse"
+    elif gap > bound * abs(p["median"]):
+        verdict = "past bound"
+    elif losses >= decisive and gap > iqr:
+        verdict = "worse within bound"
     elif spread > bound:
         verdict = "undecided"
     else:
@@ -109,8 +112,11 @@ def git_rev(tree: Path) -> str | None:
 
 
 def table(workloads: dict) -> str:
+    def num(x):
+        return f"{x:.0f}" if abs(x) >= 1e4 else f"{x:.4g}"
+
     def cell(q):
-        return f"{q['median']:.4g} ({q['q1']:.4g}, {q['q3']:.4g})"
+        return f"{num(q['median'])} ({num(q['q1'])}, {num(q['q3'])})"
 
     rows = ["| workload | metric | parent median (q1, q3) | change median (q1, q3) | ratio "
             "| wins | parent spread | bound | verdict |",

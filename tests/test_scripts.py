@@ -52,7 +52,8 @@ def test_bench_pairs_on_one_tree_writes_equal_digests(tmp_path, capsys):
     for m in metrics.values():
         assert m["parent"]["q1"] == m["parent"]["median"] == m["parent"]["q3"]
         assert m["wins"] + m["losses"] <= 1
-        assert m["verdict"] in ("better", "worse", "undecided", "within bound")
+        assert m["verdict"] in ("better", "past bound", "worse within bound", "undecided",
+                                "within bound")
     table = capsys.readouterr().out
     assert table.count("| logged |") == len(bounds)
 
@@ -62,8 +63,9 @@ def test_bench_pairs_verdicts():
     parent = [1.0, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0, 1.0, 1.0]
     faster = [x * 0.8 for x in parent]
     assert bench.compare(parent, faster, "lower", 0.25)["verdict"] == "better"
-    assert bench.compare(parent, faster, "higher", 0.25)["verdict"] == "worse"  # 20% fewer per second
-    assert bench.compare(parent, [x * 1.3 for x in parent], "lower", 0.25)["verdict"] == "worse"
+    fewer = bench.compare(parent, faster, "higher", 0.25)  # 20% fewer per second, bound 25%
+    assert fewer["verdict"] == "worse within bound" and fewer["losses"] == 10
+    assert bench.compare(parent, [x * 1.3 for x in parent], "lower", 0.25)["verdict"] == "past bound"
     assert bench.compare(parent, parent, "lower", 0.25)["verdict"] == "within bound"
     wide = [0.5, 1.5, 0.6, 1.4, 1.0, 0.7, 1.3, 1.0, 0.8, 1.2]
     assert bench.compare(wide, wide[::-1], "lower", 0.25)["verdict"] == "undecided"
